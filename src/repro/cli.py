@@ -66,7 +66,7 @@ from typing import Optional, Sequence
 from repro.experiments import faults, parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentScale
-from repro.experiments.extensions import EXTENSION_EXPERIMENTS
+from repro.experiments.extensions import EXTENSION_CELLS, EXTENSION_EXPERIMENTS
 from repro.experiments.figures import (
     ALL_EXPERIMENTS,
     FIGURE_SWEEPS,
@@ -277,15 +277,17 @@ def _resolve_scale(name: Optional[str]) -> ExperimentScale:
 def _cell_triples(figure_id: str, scale: ExperimentScale) -> list[tuple[dict, int, str]]:
     """(canonical config dict, seed, policy) per cell — manifest input.
 
-    Extension experiments are not in :data:`FIGURE_SWEEPS`; their
-    manifests carry no cell fingerprint.
+    Paper figures list their :data:`FIGURE_SWEEPS` cells, and the
+    extensions in :data:`EXTENSION_CELLS` theirs; the manifests of the
+    other extensions carry no cell fingerprint.
     """
-    if figure_id not in FIGURE_SWEEPS:
+    if figure_id in FIGURE_SWEEPS:
+        cells = experiment_cells(figure_id, scale)
+    elif figure_id in EXTENSION_CELLS:
+        cells = EXTENSION_CELLS[figure_id](scale)
+    else:
         return []
-    return [
-        (cell.config.canonical_dict(), cell.seed, cell.policy)
-        for cell in experiment_cells(figure_id, scale)
-    ]
+    return [(cell.config.canonical_dict(), cell.seed, cell.policy) for cell in cells]
 
 
 def _write_report(

@@ -8,6 +8,10 @@ so the CLI can print and export them exactly like the paper figures:
     python -m repro ext-shared-locks --csv results/
     python -m repro ext-occ --scale full
 
+Every cell runs through the sweep executor (jobs, cache, budgets,
+manifests); ``OCC`` and ``<policy>x<n>`` cell labels select the OCC and
+multiprocessor engines (``parallel.CELL_ENGINES``).
+
 The corresponding benchmarks (``benchmarks/test_extension_*.py``) carry
 the assertions; these experiments carry the data.
 """
@@ -16,16 +20,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.config import SimulationConfig
-from repro.core.policy import CCAPolicy, EDFPolicy, EDFWaitPolicy, EDFWPPolicy
-from repro.core.simulator import RTDBSimulator
 from repro.experiments.config import DISK_BASE, MAIN_MEMORY_BASE, ExperimentScale
-from repro.experiments.figures import FigureResult, Series
-from repro.experiments.runner import compare_policies
+from repro.experiments.figures import FigureResult, Series, SweepSpec, metric_series
+from repro.experiments.parallel import SweepCell, cells_for_sweep, execute_cells
+from repro.experiments.runner import point_results, sweep
 from repro.metrics.summary import summarize
-from repro.mp.simulator import MultiprocessorSimulator
-from repro.occ.simulator import OCCSimulator
-from repro.workload.generator import generate_workload
 
 
 def ext_shared_locks(scale: ExperimentScale) -> FigureResult:
@@ -33,14 +32,12 @@ def ext_shared_locks(scale: ExperimentScale) -> FigureResult:
     base = scale.scale_config(
         MAIN_MEMORY_BASE.replace(arrival_rate=8.0, db_size=100)
     )
-    seeds = scale.seeds_for(base)
-    series: dict[str, Series] = {"EDF-HP": [], "CCA": []}
-    for fraction in (0.0, 0.25, 0.5, 0.75, 0.9):
-        summaries = compare_policies(base.replace(read_fraction=fraction), seeds)
-        for name in series:
-            series[name].append(
-                (fraction * 100, summaries[name].restarts_per_transaction.mean)
-            )
+    configs = {
+        fraction * 100: base.replace(read_fraction=fraction)
+        for fraction in (0.0, 0.25, 0.5, 0.75, 0.9)
+    }
+    swept = sweep(configs, scale.seeds_for(base))
+    series = metric_series(swept, "restarts_per_transaction")
     return FigureResult(
         figure_id="ext-shared-locks",
         title="Shared locks: restarts per transaction vs read fraction "
@@ -55,29 +52,25 @@ def ext_shared_locks(scale: ExperimentScale) -> FigureResult:
     )
 
 
-def ext_multiprocessor(scale: ExperimentScale) -> FigureResult:
-    """Miss percent vs CPU count at 8 tr/s per CPU (CCA-MP vs EDF-HP-MP)."""
-    series: dict[str, Series] = {"EDF-HP-MP": [], "CCA-MP": []}
-    for n_cpus in (1, 2, 4):
+def multiprocessor_cells(scale: ExperimentScale) -> list[SweepCell]:
+    """ext-multiprocessor's cells: ``EDF-HPx<n>``/``CCAx<n>`` at x=n CPUs."""
+    cells = []
+    for n in (1, 2, 4):
         config = scale.scale_config(
-            MAIN_MEMORY_BASE.replace(arrival_rate=8.0 * n_cpus, db_size=1000)
+            MAIN_MEMORY_BASE.replace(arrival_rate=8.0 * n, db_size=1000)
         )
         seeds = scale.seeds_for(config)[:5]
-        per_policy: dict[str, list] = {"EDF-HP-MP": [], "CCA-MP": []}
-        for seed in seeds:
-            workload = generate_workload(config, seed)
-            per_policy["EDF-HP-MP"].append(
-                MultiprocessorSimulator(
-                    config, workload, EDFPolicy(), n_cpus=n_cpus
-                ).run()
-            )
-            per_policy["CCA-MP"].append(
-                MultiprocessorSimulator(
-                    config, workload, CCAPolicy(1.0), n_cpus=n_cpus
-                ).run()
-            )
-        for name, results in per_policy.items():
-            series[name].append((float(n_cpus), summarize(results).miss_percent.mean))
+        cells += cells_for_sweep({float(n): config}, seeds, (f"EDF-HPx{n}", f"CCAx{n}"))
+    return cells
+
+
+def ext_multiprocessor(scale: ExperimentScale) -> FigureResult:
+    """Miss percent vs CPU count at 8 tr/s per CPU (CCA-MP vs EDF-HP-MP)."""
+    cells = multiprocessor_cells(scale)
+    series: dict[str, Series] = {}
+    for (x, label), runs in point_results(cells, execute_cells(cells)).items():
+        name = label.rsplit("x", 1)[0] + "-MP"  # "CCAx2" -> "CCA-MP"
+        series.setdefault(name, []).append((x, summarize(runs).miss_percent.mean))
     return FigureResult(
         figure_id="ext-multiprocessor",
         title="Multiprocessor scaling: miss percent at 8 tr/s per CPU "
@@ -93,21 +86,21 @@ def ext_multiprocessor(scale: ExperimentScale) -> FigureResult:
     )
 
 
+def occ_cells(scale: ExperimentScale) -> list[SweepCell]:
+    """ext-occ's cells: EDF-HP, CCA and OCC (over EDF-HP) at 9 tr/s,
+    under soft (x=0) and firm (x=1) deadlines."""
+    base = scale.scale_config(MAIN_MEMORY_BASE.replace(arrival_rate=9.0))
+    configs = {0.0: base, 1.0: base.replace(firm_deadlines=True)}
+    return cells_for_sweep(configs, scale.seeds_for(base), ("EDF-HP", "CCA", "OCC"))
+
+
 def ext_occ(scale: ExperimentScale) -> FigureResult:
     """Failure rate of EDF-HP / CCA / OCC under soft and firm deadlines."""
-    base = scale.scale_config(MAIN_MEMORY_BASE.replace(arrival_rate=9.0))
-    seeds = scale.seeds_for(base)
-    series: dict[str, Series] = {"EDF-HP": [], "CCA": [], "OCC": []}
-    for x, config in ((0.0, base), (1.0, base.replace(firm_deadlines=True))):
-        runs: dict[str, list] = {name: [] for name in series}
-        for seed in seeds:
-            workload = generate_workload(config, seed)
-            runs["EDF-HP"].append(RTDBSimulator(config, workload, EDFPolicy()).run())
-            runs["CCA"].append(RTDBSimulator(config, workload, CCAPolicy(1.0)).run())
-            runs["OCC"].append(OCCSimulator(config, workload, EDFPolicy()).run())
-        for name, results in runs.items():
-            failure = sum(r.miss_or_drop_percent for r in results) / len(results)
-            series[name].append((x, failure))
+    cells = occ_cells(scale)
+    series: dict[str, Series] = {}
+    for (x, name), runs in point_results(cells, execute_cells(cells)).items():
+        failure = sum(r.miss_or_drop_percent for r in runs) / len(runs)
+        series.setdefault(name, []).append((x, failure))
     return FigureResult(
         figure_id="ext-occ",
         title="OCC vs locking: failure percent, soft (x=0) vs firm (x=1) "
@@ -127,15 +120,8 @@ def ext_occ(scale: ExperimentScale) -> FigureResult:
 def ext_bursty(scale: ExperimentScale) -> FigureResult:
     """Miss percent under Poisson vs bursty arrivals at the same mean rate."""
     base = scale.scale_config(MAIN_MEMORY_BASE.replace(arrival_rate=7.0))
-    seeds = scale.seeds_for(base)
-    series: dict[str, Series] = {"EDF-HP": [], "CCA": []}
-    for x, config in (
-        (0.0, base),
-        (1.0, base.replace(arrival_model="bursty", burst_factor=3.0)),
-    ):
-        summaries = compare_policies(config, seeds)
-        for name in series:
-            series[name].append((x, summaries[name].miss_percent.mean))
+    configs = {0.0: base, 1.0: base.replace(arrival_model="bursty", burst_factor=3.0)}
+    series = metric_series(sweep(configs, scale.seeds_for(base)), "miss_percent")
     return FigureResult(
         figure_id="ext-bursty",
         title="Bursty arrivals: miss percent, Poisson (x=0) vs 3x bursts "
@@ -156,15 +142,8 @@ def ext_disk_scheduling(scale: ExperimentScale) -> FigureResult:
     base = scale.scale_config(
         DISK_BASE.replace(arrival_rate=5.0, disk_access_prob=0.3)
     )
-    seeds = scale.seeds_for(base)
-    series: dict[str, Series] = {"EDF-HP": [], "CCA": []}
-    for x, config in (
-        (0.0, base),
-        (1.0, base.replace(disk_scheduling="priority")),
-    ):
-        summaries = compare_policies(config, seeds)
-        for name in series:
-            series[name].append((x, summaries[name].mean_lateness.mean))
+    configs = {0.0: base, 1.0: base.replace(disk_scheduling="priority")}
+    series = metric_series(sweep(configs, scale.seeds_for(base)), "mean_lateness")
     return FigureResult(
         figure_id="ext-disk-sched",
         title="Disk queue discipline: mean lateness, FCFS (x=0) vs "
@@ -188,16 +167,13 @@ def ext_slack(scale: ExperimentScale) -> FigureResult:
     a wasted wound, which is where cost-consciousness pays most.
     """
     base = scale.scale_config(MAIN_MEMORY_BASE.replace(arrival_rate=8.0))
-    seeds = scale.seeds_for(base)
-    series: dict[str, Series] = {"EDF-HP": [], "CCA": []}
-    for factor in (0.25, 0.5, 1.0, 1.5, 2.0):
-        config = base.replace(
-            min_slack=base.min_slack * factor,
-            max_slack=base.max_slack * factor,
+    configs = {
+        factor: base.replace(
+            min_slack=base.min_slack * factor, max_slack=base.max_slack * factor
         )
-        summaries = compare_policies(config, seeds)
-        for name in series:
-            series[name].append((factor, summaries[name].miss_percent.mean))
+        for factor in (0.25, 0.5, 1.0, 1.5, 2.0)
+    }
+    series = metric_series(sweep(configs, scale.seeds_for(base)), "miss_percent")
     return FigureResult(
         figure_id="ext-slack",
         title="Deadline tightness: miss percent vs slack-window scale "
@@ -212,6 +188,16 @@ def ext_slack(scale: ExperimentScale) -> FigureResult:
     )
 
 
+#: ext-wp: the four protocols across the loaded half of the rate axis.
+WP_SWEEP = SweepSpec(
+    key="ext-wp",
+    base=MAIN_MEMORY_BASE,
+    axis=(6.0, 8.0, 10.0),
+    vary=lambda config, rate: config.replace(arrival_rate=rate),
+    policies=("EDF-HP", "EDF-WP", "EDF-Wait", "CCA"),
+)
+
+
 def ext_abort_wait_spectrum(scale: ExperimentScale) -> FigureResult:
     """Miss percent across the abort/wait spectrum vs arrival rate.
 
@@ -221,26 +207,8 @@ def ext_abort_wait_spectrum(scale: ExperimentScale) -> FigureResult:
     inheritance), EDF-Wait (CCA's w→∞ limit) and CCA — over the loaded
     half of the arrival-rate axis.
     """
-    base = scale.scale_config(MAIN_MEMORY_BASE)
-    seeds = scale.seeds_for(base)
-    factories = {
-        "EDF-HP": EDFPolicy,
-        "EDF-WP": EDFWPPolicy,
-        "EDF-Wait": EDFWaitPolicy,
-        "CCA": lambda: CCAPolicy(1.0),
-    }
-    series: dict[str, Series] = {name: [] for name in factories}
-    for rate in (6.0, 8.0, 10.0):
-        config = base.replace(arrival_rate=rate)
-        runs: dict[str, list] = {name: [] for name in factories}
-        for seed in seeds:
-            workload = generate_workload(config, seed)
-            for name, factory in factories.items():
-                runs[name].append(
-                    RTDBSimulator(config, workload, factory()).run()
-                )
-        for name, results in runs.items():
-            series[name].append((rate, summarize(results).miss_percent.mean))
+    swept = sweep(WP_SWEEP.configs(scale), WP_SWEEP.seeds(scale), WP_SWEEP.policies)
+    series = metric_series(swept, "miss_percent")
     return FigureResult(
         figure_id="ext-wp",
         title="The abort/wait spectrum: miss percent vs arrival rate",
@@ -266,4 +234,12 @@ EXTENSION_EXPERIMENTS: dict[
     "ext-disk-sched": ext_disk_scheduling,
     "ext-slack": ext_slack,
     "ext-wp": ext_abort_wait_spectrum,
+}
+
+#: Every cell of the extensions that run through the sweep executor as
+#: a single batch — what run manifests fingerprint.
+EXTENSION_CELLS: dict[str, Callable[[ExperimentScale], list[SweepCell]]] = {
+    "ext-occ": occ_cells,
+    "ext-multiprocessor": multiprocessor_cells,
+    "ext-wp": WP_SWEEP.cells,
 }

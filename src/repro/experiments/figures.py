@@ -182,10 +182,11 @@ def _improvement_series(
     return {"Miss Percent": miss, "Mean Lateness": lateness}
 
 
-def _metric_series(
+def metric_series(
     swept: Mapping[float, Mapping[str, RunSummary]],
     metric: str,
 ) -> dict[str, Series]:
+    """Each policy's seed-mean ``metric`` against x, in x order."""
     out: dict[str, Series] = {}
     for x in sorted(swept):
         for policy, summary in swept[x].items():
@@ -254,7 +255,7 @@ def fig4a(scale: ExperimentScale) -> FigureResult:
         title="Miss percent of EDF, CCA (base parameters)",
         x_label="Arrival Rate (trs/sec)",
         y_label="Miss percent",
-        series=_metric_series(swept, "miss_percent"),
+        series=metric_series(swept, "miss_percent"),
         paper_expectation=(
             "Both curves rise with load; CCA at or below EDF-HP throughout, "
             "with the gap widening as the restart rate grows."
@@ -286,7 +287,7 @@ def fig4c(scale: ExperimentScale) -> FigureResult:
         title="Restarts per transaction (base parameters)",
         x_label="Arrival Rate (trs/sec)",
         y_label="Restarts per transaction",
-        series=_metric_series(swept, "restarts_per_transaction"),
+        series=metric_series(swept, "restarts_per_transaction"),
         paper_expectation=(
             "Restarts climb steeply to a peak (paper: around 8 tr/s), then "
             "decline sharply; CCA stays below EDF-HP before the peak."
@@ -302,7 +303,7 @@ def fig4d(scale: ExperimentScale) -> FigureResult:
         title="Miss percent, high variance (update time classes 0.4/4/40 ms)",
         x_label="Arrival Rate (trs/sec)",
         y_label="Miss percent",
-        series=_metric_series(swept, "miss_percent"),
+        series=metric_series(swept, "miss_percent"),
         paper_expectation=(
             "With execution times spanning 4..1200 ms (capacity ~3.37 tr/s), "
             "preemption chances grow; CCA still at or below EDF-HP."
@@ -334,7 +335,7 @@ def fig4f(scale: ExperimentScale) -> FigureResult:
         title="Miss percent vs DB size (base parameters, arrival rate 10)",
         x_label="DB size",
         y_label="Miss percent",
-        series=_metric_series(swept, "miss_percent"),
+        series=metric_series(swept, "miss_percent"),
         paper_expectation=(
             "Smaller databases mean heavier data contention; CCA's advantage "
             "is largest at small DB sizes and both curves flatten as "
@@ -377,7 +378,7 @@ def fig5b(scale: ExperimentScale) -> FigureResult:
         title="Miss percent of EDF, CCA (disk resident, base parameters)",
         x_label="Arrival Rate (trs/sec)",
         y_label="Miss percent",
-        series=_metric_series(swept, "miss_percent"),
+        series=metric_series(swept, "miss_percent"),
         paper_expectation="CCA at or below EDF-HP across 1..7 tr/s.",
     )
 
@@ -390,7 +391,7 @@ def fig5c(scale: ExperimentScale) -> FigureResult:
         title="Restarts per transaction (disk resident, base parameters)",
         x_label="Arrival Rate (trs/sec)",
         y_label="Restarts per transaction",
-        series=_metric_series(swept, "restarts_per_transaction"),
+        series=metric_series(swept, "restarts_per_transaction"),
         paper_expectation=(
             "EDF-HP restarts rise monotonically with arrival rate (wounded "
             "noncontributing executions during IO waits); CCA stays low and "
@@ -424,7 +425,7 @@ def fig5e(scale: ExperimentScale) -> FigureResult:
         title="Miss percent vs DB size (disk resident, arrival rate 4)",
         x_label="DB size",
         y_label="Miss percent",
-        series=_metric_series(swept, "miss_percent"),
+        series=metric_series(swept, "miss_percent"),
         paper_expectation=(
             "CCA's advantage grows as the database shrinks (heavier data "
             "contention), mirroring the main-memory result."

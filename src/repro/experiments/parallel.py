@@ -40,11 +40,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+import re
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.core.factory import make_simulator
@@ -54,8 +55,11 @@ from repro.core.simulator import SimulationResult
 from repro.experiments import faults
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.quarantine import CellEnvelope, FallbackPolicy, run_cell_guarded
+from repro.mp.simulator import MultiprocessorSimulator
 from repro.obs.prof import SpanProfiler, observe_stage
 from repro.obs.registry import MetricsRegistry
+from repro.occ.simulator import OCCSimulator
+from repro.rtdb.transaction import TransactionSpec
 from repro.workload.generator import generate_workload
 
 TraceHook = Callable[..., None]
@@ -253,6 +257,93 @@ class SweepStats:
         return self.cells_run / self.elapsed
 
 
+# ---------------------------------------------------------------------------
+# Cell engines: the policy label picks what runs
+# ---------------------------------------------------------------------------
+
+#: ``"<policy>x<n>"`` — the name MultiprocessorSimulator gives its results.
+_MP_LABEL = re.compile(r"(?P<policy>.+)x(?P<cpus>[1-9][0-9]*)")
+
+Workload = Sequence[TransactionSpec]
+
+
+def _build_locking(
+    config: SimulationConfig, workload: Workload, label: str, **options
+):
+    policy = make_policy(label, penalty_weight=config.penalty_weight)
+    return make_simulator(config, workload, policy, **options)
+
+
+def _build_occ(
+    config: SimulationConfig,
+    workload: Workload,
+    label: str,
+    *,
+    trace: Optional[TraceHook] = None,
+    max_wall_s: Optional[float] = None,
+    max_memory_mb: Optional[float] = None,
+) -> OCCSimulator:
+    return OCCSimulator(
+        config, workload, make_policy("EDF-HP"),
+        trace=trace, max_wall_s=max_wall_s, max_memory_mb=max_memory_mb,
+    )
+
+
+def _build_mp(
+    config: SimulationConfig,
+    workload: Workload,
+    label: str,
+    *,
+    trace: Optional[TraceHook] = None,
+    max_wall_s: Optional[float] = None,
+    max_memory_mb: Optional[float] = None,
+) -> MultiprocessorSimulator:
+    match = _MP_LABEL.fullmatch(label)
+    assert match is not None, label
+    policy = make_policy(match["policy"], penalty_weight=config.penalty_weight)
+    return MultiprocessorSimulator(
+        config, workload, policy, n_cpus=int(match["cpus"]),
+        trace=trace, max_wall_s=max_wall_s, max_memory_mb=max_memory_mb,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class CellEngine:
+    """The engine family a cell's policy label selects.
+
+    ``build(config, workload, label, **options)`` returns a simulator
+    whose ``run()`` yields a result named ``result_name(label)``.  Every
+    family takes ``trace``, ``max_wall_s`` and ``max_memory_mb``; only
+    ``locking`` (:func:`~repro.core.factory.make_simulator`, so
+    ``engine="auto"`` picks the kernel) also takes a metrics registry, a
+    profiler and kernel introspection, and only it can heal onto the
+    reference engine under a :class:`FallbackPolicy`.
+    """
+
+    family: str
+    build: Callable[..., Any]
+    result_name: Callable[[str], str]
+
+    @property
+    def locking(self) -> bool:
+        return self.family == "locking"
+
+
+#: label matcher -> engine, first match wins.  ``"OCC"`` is
+#: broadcast-commit OCC over EDF-HP, ``"CCAx2"`` CCA on two CPUs, and
+#: anything else a locking policy name (``EDF-HP``, ``CCA``, ...).
+CELL_ENGINES: tuple[tuple[Callable[[str], object], CellEngine], ...] = (
+    (lambda label: label == "OCC", CellEngine("occ", _build_occ, lambda _: "OCC-EDF-HP")),
+    (_MP_LABEL.fullmatch, CellEngine("mp", _build_mp, str)),
+    (lambda label: True, CellEngine("locking", _build_locking, str)),
+)
+
+
+def cell_engine(label: str) -> CellEngine:
+    """The :class:`CellEngine` a cell's policy label selects."""
+    return next(engine for matches, engine in CELL_ENGINES if matches(label))
+
+
 def simulate_cell(
     config: SimulationConfig,
     seed: int,
@@ -266,16 +357,16 @@ def simulate_cell(
     Deterministic in its arguments: the workload is generated from
     ``(config, seed)`` and the simulator draws no further randomness,
     so the same cell yields the same result in any process.
-    ``max_wall_s`` (when set) bounds the simulation's real run time via
-    the engine's wall-clock guard; ``max_memory_mb`` bounds resident
-    memory the same way.
+    ``policy_name`` is the cell label, which picks the engine
+    (:func:`cell_engine`).  ``max_wall_s`` (when set) bounds the
+    simulation's real run time via the engine's wall-clock guard;
+    ``max_memory_mb`` bounds resident memory the same way.
     """
     workload = generate_workload(config, seed)
-    policy = make_policy(policy_name, penalty_weight=config.penalty_weight)
-    return make_simulator(
+    return cell_engine(policy_name).build(
         config,
         workload,
-        policy,
+        policy_name,
         max_wall_s=max_wall_s,
         max_memory_mb=max_memory_mb,
     ).run()
@@ -307,13 +398,12 @@ def simulate_cell_traced(
     from repro.tracing import EventLog
 
     workload = generate_workload(config, seed)
-    policy = make_policy(policy_name, penalty_weight=config.penalty_weight)
     log = sink if sink is not None else EventLog()
     try:
-        result = make_simulator(
+        result = cell_engine(policy_name).build(
             config,
             workload,
-            policy,
+            policy_name,
             trace=log,
             max_wall_s=max_wall_s,
             max_memory_mb=max_memory_mb,
@@ -347,7 +437,9 @@ def simulate_cell_observed(
     Observed cells run with kernel introspection on (``kernel.*``
     counters — fusion spans, penalty-scan modes, CCA prunes; see
     docs/OBSERVABILITY.md) and tally which engine actually ran under
-    ``sweep.engine{engine=...}``.  Both are deterministic.
+    ``sweep.engine{engine=...}``.  Both are deterministic.  OCC and
+    multiprocessor cells take no registry: they ship the engine tally
+    and stage timings only.
 
     ``profile`` optionally attaches a :class:`SpanProfiler`: the stage
     intervals become spans and the engine records its internal phases
@@ -355,28 +447,24 @@ def simulate_cell_observed(
     worker-facing wrapper that ships the recording back).
     """
     registry = MetricsRegistry()
+    engine = cell_engine(policy_name)
     started = time.perf_counter()
     workload = generate_workload(config, seed)
-    policy = make_policy(policy_name, penalty_weight=config.penalty_weight)
     generated = time.perf_counter()
     observe_stage(registry, "workload_gen", (generated - started) * 1000.0)
-    simulator = make_simulator(
-        config,
-        workload,
-        policy,
-        metrics=registry,
-        max_wall_s=max_wall_s,
-        max_memory_mb=max_memory_mb,
-        profile=profile,
-        introspect=True,
-    )
-    engine = "kernel" if isinstance(simulator, KernelSimulator) else "reference"
-    registry.counter("sweep.engine", engine=engine).inc()
+    options: dict = {"max_wall_s": max_wall_s, "max_memory_mb": max_memory_mb}
+    if engine.locking:
+        options.update(metrics=registry, profile=profile, introspect=True)
+    simulator = engine.build(config, workload, policy_name, **options)
+    ran = engine.family
+    if engine.locking:
+        ran = "kernel" if isinstance(simulator, KernelSimulator) else "reference"
+    registry.counter("sweep.engine", engine=ran).inc()
     result = simulator.run()
     finished = time.perf_counter()
     observe_stage(registry, "simulate", (finished - generated) * 1000.0)
     if profile is not None:
-        cell_args = {"policy": policy_name, "seed": seed, "engine": engine}
+        cell_args = {"policy": policy_name, "seed": seed, "engine": ran}
         profile.add_span(
             "cell.workload_gen", "stage", started, generated, {"n": len(workload)}
         )
@@ -424,12 +512,13 @@ def _worker_entry(
 ):
     """Pool/serial worker entry: fault injection, then the simulation.
 
-    With ``fallback`` set the cell runs through the guarded runner
+    With ``fallback`` set, locking cells run through the guarded runner
     (kernel failures heal onto the reference engine, wrapped in a
-    :class:`CellEnvelope`); the default path is untouched — one
-    ``is not None`` check.
+    :class:`CellEnvelope`); OCC and multiprocessor cells have no second
+    engine to heal onto, so they run unguarded.  The default path is
+    untouched — one ``is not None`` check.
     """
-    if fallback is not None:
+    if fallback is not None and cell_engine(policy_name).locking:
         return run_cell_guarded(
             config,
             seed,
@@ -502,10 +591,11 @@ def _validate_outcome(cell: SweepCell, outcome, observed: bool, profiled: bool):
                 f"not a SimulationResult"
             )
         result = outcome
-    if result.policy_name != cell.policy:
+    expected = cell_engine(cell.policy).result_name(cell.policy)
+    if result.policy_name != expected:
         raise CorruptResultError(
             f"cell {cell.key}: result claims policy "
-            f"{result.policy_name!r}, expected {cell.policy!r}"
+            f"{result.policy_name!r}, expected {expected!r}"
         )
     return outcome
 

@@ -29,6 +29,7 @@ from repro.core.simulator import SimulationResult
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     CellFailure,
+    CellKey,
     SweepCell,
     SweepError,
     TraceHook,
@@ -143,45 +144,59 @@ def sweep(
         name: make_policy(name, penalty_weight=1.0).name for name in policies
     }
     cells = cells_for_sweep(configs, seeds, list(canonical.values()))
-    results = execute_cells(
-        cells, jobs=jobs, cache=cache, trace=trace, metrics=metrics
+    points = point_results(
+        cells,
+        execute_cells(cells, jobs=jobs, cache=cache, trace=trace, metrics=metrics),
     )
     out: dict[float, dict[str, RunSummary]] = {}
     for x in configs:
-        out[x] = {}
-        for name in policies:
-            # Cells dropped under on_error=skip are excluded from the
-            # summary — identically at any jobs count, since the failure
-            # schedule is process-independent.
-            survived = [
-                results[(x, canonical[name], seed)]
-                for seed in seeds
-                if (x, canonical[name], seed) in results
-            ]
-            if not survived:
-                raise SweepError(
-                    [
-                        CellFailure(
-                            key=(x, canonical[name], seed),
-                            attempts=0,
-                            exception="AllSeedsDropped",
-                            message=(
-                                f"every seed of x={x:g} policy={name} failed "
-                                f"or was skipped; nothing left to summarize"
-                            ),
-                        )
-                        for seed in seeds
-                    ]
-                )
-            out[x][name] = summarize(survived)
+        out[x] = {
+            name: summarize(points[(x, canonical[name])]) for name in policies
+        }
         if progress is not None:
             progress(x)
     return out
 
 
+def point_results(
+    cells: Sequence[SweepCell],
+    results: Mapping[CellKey, SimulationResult],
+) -> dict[tuple[float, str], list[SimulationResult]]:
+    """Each (x, policy) point's results, in ``cells`` order.
+
+    Cells dropped under ``on_error=skip`` are left out — identically at
+    any jobs count, since the failure schedule is process-independent.
+    A point with no cell left raises :class:`SweepError`: there is
+    nothing to average.
+    """
+    points: dict[tuple[float, str], list[SimulationResult]] = {}
+    for cell in cells:
+        runs = points.setdefault((cell.x, cell.policy), [])
+        if cell.key in results:
+            runs.append(results[cell.key])
+    emptied = [cell for cell in cells if not points[(cell.x, cell.policy)]]
+    if emptied:
+        raise SweepError(
+            [
+                CellFailure(
+                    key=cell.key,
+                    attempts=0,
+                    exception="AllSeedsDropped",
+                    message=(
+                        f"every seed of x={cell.x:g} policy={cell.policy} "
+                        f"failed or was skipped; nothing left to summarize"
+                    ),
+                )
+                for cell in emptied
+            ]
+        )
+    return points
+
+
 __all__ = [
     "PolicyFactory",
     "compare_policies",
+    "point_results",
     "policy_factory",
     "run_policy",
     "simulate_cell",

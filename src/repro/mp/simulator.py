@@ -47,7 +47,7 @@ from repro.rtdb.database import Database
 from repro.rtdb.locks import LockManager
 from repro.rtdb.recovery import FixedRecovery, RecoveryModel
 from repro.rtdb.transaction import Transaction, TransactionSpec, TxState
-from repro.sim.engine import Simulator
+from repro.sim.engine import BudgetExceeded, Simulator
 
 _EPS = 1e-9
 
@@ -77,6 +77,8 @@ class MultiprocessorSimulator:
         include_rollback_in_penalty: bool = True,
         trace: Optional[TraceHook] = None,
         max_events: Optional[int] = None,
+        max_wall_s: Optional[float] = None,
+        max_memory_mb: Optional[float] = None,
     ) -> None:
         if not workload:
             raise ValueError("workload must contain at least one transaction")
@@ -106,6 +108,8 @@ class MultiprocessorSimulator:
         self.max_events = (
             max_events if max_events is not None else 5000 * len(workload)
         )
+        self.max_wall_s = max_wall_s
+        self.max_memory_mb = max_memory_mb
         self.database = Database(config.db_size)
         tids = [spec.tid for spec in self.workload]
         if len(set(tids)) != len(tids):
@@ -141,7 +145,21 @@ class MultiprocessorSimulator:
             self.sim.schedule_at(
                 spec.arrival_time, self._on_arrival, kind="arrival", payload=spec
             )
-        self.sim.run(max_events=self.max_events)
+        try:
+            self.sim.run(
+                max_events=self.max_events,
+                max_wall_s=self.max_wall_s,
+                max_memory_mb=self.max_memory_mb,
+            )
+        except BudgetExceeded as exc:
+            # Partial progress for the sweep's failure record, as the
+            # single-CPU locking engines report it.
+            exc.progress.update(
+                committed=len(self.records),
+                restarts=self.total_restarts,
+                live=len(self.live),
+            )
+            raise
         self._finished = True
         if self.live:
             raise RuntimeError(

@@ -8,6 +8,7 @@ from repro.cli import build_parser, build_trace_parser, main
 from repro.experiments import faults
 from repro.experiments.cache import cache_key
 from repro.experiments.config import ExperimentScale
+from repro.experiments.extensions import occ_cells
 from repro.experiments.figures import clear_cache, experiment_cells
 from repro.obs.manifest import load_manifest, validate_manifest
 
@@ -117,6 +118,20 @@ class TestReport:
         manifest = load_manifest(latest)
         assert manifest["cache"]["hits"] == manifest["n_cells"]
         assert manifest["cache"]["misses"] == 0
+
+    def test_extension_manifest_fingerprints_its_cells(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["ext-occ", "--scale", "quick", "--jobs", "2", "--report", str(runs)]) == 0
+        assert "engines: kernel=12 occ=6" in capsys.readouterr().out
+        manifest = load_manifest(next(runs.glob("ext-occ-quick-*.json")))
+        assert validate_manifest(manifest) == []
+        cells = occ_cells(ExperimentScale.quick())
+        assert manifest["n_cells"] == len(cells) == 18
+        assert manifest["config_hash"]
+        assert manifest["policies"] == ["CCA", "EDF-HP", "OCC"]
+        assert manifest["cache"] == {"hits": 0, "misses": 18}
+        assert manifest["cell_wall_ms"]["count"] == 18
+        assert manifest["failures"] == []
 
     def test_table_manifest_is_valid_without_cells(self, tmp_path, capsys):
         runs = tmp_path / "runs"
