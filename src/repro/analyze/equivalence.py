@@ -551,7 +551,7 @@ def mutate_state_table(
 
     ``row``/``bit`` index the (subject, runner) state pair; the stored
     code is bumped to the next relation value — the smallest possible
-    corruption of an int8 table entry.
+    corruption of a table entry.
     """
     if mutation.kind == "state-safety":
         matrix = state_table.safety
@@ -567,7 +567,6 @@ def mutate_state_table(
             f"state mutation ({mutation.row}, {mutation.bit}) out of "
             f"range (table has {n} states)"
         )
-    matrix[mutation.row, mutation.bit] = (
-        int(matrix[mutation.row, mutation.bit]) + 1
-    ) % 3
+    row = matrix[mutation.row]
+    row[mutation.bit] = (row[mutation.bit] + 1) % 3
     return state_table

@@ -88,7 +88,7 @@ ANA003 = register(
         summary="StateTable matrices match freshly recomputed tree relations",
         rationale=(
             "StateTable flattens the pre-analysis RelationTable into "
-            "dense int8 matrices indexed by (program, node) state ids.  "
+            "dense code rows indexed by (program, node) state ids.  "
             "This pass rebuilds every program tree from scratch and "
             "recomputes conflict_between/safety_of for every state "
             "pair, comparing against the flattened codes and the "

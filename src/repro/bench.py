@@ -47,8 +47,11 @@ from repro.obs.prof import SpanProfiler, host_provenance
 from repro.workload.generator import generate_workload
 
 #: v2: added the top-level ``host`` provenance block (interpreter,
-#: numpy, CPU model, core count) and the per-profile ``phases`` section
-#: (kernel wall-time attribution from one profiled pass per cell).
+#: platform, CPU model, core count) and the per-profile ``phases``
+#: section (kernel wall-time attribution from one profiled pass per
+#: cell).  Baselines written before the kernel dropped numpy also carry
+#: a ``host.numpy`` version and a ``kernel.penalty_scan_numpy`` phase;
+#: both are provenance only, since the gate reads speedup ratios.
 SCHEMA_VERSION = 2
 
 #: Committed baseline location (repo checkout layout).

@@ -18,11 +18,9 @@ Where the time goes, and what this engine does about it:
 * **The penalty-of-conflict scan** — CCA's O(partially-executed) scan
   per priority evaluation is the dominant cost of a sweep cell.  Access
   sets live as integer bitmasks (one ``&`` per safety question, see
-  :mod:`repro.core.masks`), and when the P-list is large the UNSAFE
-  membership test is evaluated as a batched numpy ``uint64`` word scan.
-  The float *accumulation* always runs in P-list order with scalar
-  adds, so the sum is bit-identical to the reference at any P-list
-  size.
+  :mod:`repro.core.masks`, at any database size), and the float
+  accumulation runs in P-list order with scalar adds, so the sum is
+  bit-identical to the reference at any P-list size.
 * **Conflict lookups** — ``IOwait-schedule`` compatibility collapses to
   one ``&`` against a precomputed per-slot conflict bitmask (flat
   programs) or two array reads (tree programs via
@@ -54,10 +52,8 @@ from heapq import heapify, heappop, heappush
 from operator import add as _add
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from repro.config import SimulationConfig
-from repro.core.masks import SpecMasks, StateTable, mask_items, mask_to_words
+from repro.core.masks import SpecMasks, StateTable, mask_items
 from repro.core.oracle import (
     ConflictOracle,
     OptimisticConflictOracle,
@@ -110,12 +106,6 @@ P_EDF, P_FCFS, P_LSF, P_CCA = range(4)
 
 # -- phase codes -------------------------------------------------------------
 PH_COMPUTE, PH_ROLLBACK = 0, 1
-
-#: P-list size at which the penalty scan switches from the scalar
-#: bitmask loop to the batched numpy word scan.  Both paths produce the
-#: same UNSAFE membership and the accumulation is scalar either way, so
-#: the threshold affects speed only, never results.
-NUMPY_PENALTY_THRESHOLD = 12
 
 #: Events between wall-clock guard checks (mirrors the reference engine).
 _WALL_CHECK_INTERVAL = 512
@@ -326,22 +316,17 @@ class KernelSimulator:
         if profile is not None:
             # Pre-bound aggregate timers, indexed by event code
             # (EV_ARRIVAL, EV_FIRM, EV_PHASE, EV_DISK): per-event timing
-            # is two clock reads through a bound handle, and the numpy
-            # penalty branch gets its own timer (the scalar branch is
-            # counted but not timed — at sub-microsecond per scan the
-            # clock reads themselves would blow the overhead budget).
+            # is two clock reads through a bound handle.  Penalty scans
+            # are counted but not timed — at sub-microsecond per scan
+            # the clock reads themselves would blow the overhead budget.
             self._ev_timers: Optional[tuple["AggregateTimer", ...]] = (
                 profile.timer("kernel.ev_arrival"),
                 profile.timer("kernel.ev_firm"),
                 profile.timer("kernel.ev_phase"),
                 profile.timer("kernel.ev_disk"),
             )
-            self._t_scan: Optional["AggregateTimer"] = profile.timer(
-                "kernel.penalty_scan_numpy"
-            )
         else:
             self._ev_timers = None
-            self._t_scan = None
         self.max_events = (
             max_events if max_events is not None else 5000 * len(workload)
         )
@@ -403,11 +388,9 @@ class KernelSimulator:
             data_masks, write_masks, max(1, (config.db_size + 63) // 64)
         )
         if profile is not None or (introspect and metrics is not None):
-            # Observe the lazy mask-matrix materializations (word
-            # matrices, conflict slot rows) without changing when they
-            # happen.
+            # Observe the lazy conflict-slot materialization without
+            # changing when it happens.
             self._masks.on_build = self._on_mask_build
-        self._n_words = self._masks.n_words
 
         # -- tree-oracle state ids ------------------------------------------
         if self._o.table is not None:
@@ -434,13 +417,6 @@ class KernelSimulator:
         self._first_dispatch: list[Optional[float]] = [None] * n
         self._acc_mask = [0] * n
         self._aw_mask = [0] * n
-        # numpy word mirrors of the dynamic access masks (batched scans).
-        # Synced lazily: _record_access only marks a slot dirty, and the
-        # batched penalty branch flushes before reading, so runs that
-        # never take that branch pay nothing for the mirrors.
-        self._acc_words = np.zeros((n, self._n_words), dtype=np.uint64)
-        self._aw_words = np.zeros((n, self._n_words), dtype=np.uint64)
-        self._words_dirty: set[int] = set()
 
         # -- lock table ------------------------------------------------------
         db = config.db_size
@@ -888,7 +864,7 @@ class KernelSimulator:
         return code != 0
 
     # ------------------------------------------------------------------
-    # Penalty of conflict (scalar bitmask loop / batched numpy scan)
+    # Penalty of conflict (bitmask loop / state-table loop)
     # ------------------------------------------------------------------
 
     def _penalty_of_conflict(self, slot: int) -> float:
@@ -901,39 +877,6 @@ class KernelSimulator:
         fixed = self._recovery_fixed
         total = 0.0
         ik = self._ik
-        if (
-            self._o.flat
-            and self._n_words > 1
-            and len(plist) >= NUMPY_PENALTY_THRESHOLD
-        ):
-            # Batched membership only pays off once masks span several
-            # words; single-word masks are faster as plain int ops.
-            if ik is not None:
-                ik.scan_numpy.inc()
-            t_scan = self._t_scan
-            t0 = t_scan.start() if t_scan is not None else 0.0
-            if self._words_dirty:
-                self._flush_words()
-            rows = np.fromiter(plist, dtype=np.int64, count=len(plist))
-            data_words = self._masks.data_words[slot]
-            write_words = self._masks.write_words[slot]
-            unsafe = (self._aw_words[rows] & data_words).any(axis=1) | (
-                self._acc_words[rows] & write_words
-            ).any(axis=1)
-            for victim, flagged in zip(rows.tolist(), unsafe.tolist()):
-                if victim == slot or not flagged:
-                    continue
-                total += self._effective_service(victim)  # repro: allow[DET005] -- plist insertion order is deterministic
-                if include_rollback:
-                    total += (  # repro: allow[DET005] -- plist insertion order is deterministic
-                        fixed
-                        if fixed is not None
-                        else self._recovery_floor
-                        + self._recovery_factor * self._service[victim]
-                    )
-            if t_scan is not None:
-                t_scan.stop(t0)
-            return total
         if self._o.flat:
             # Scalar bitmask membership, with _needs_rollback and
             # _effective_service inlined (same tests, same float order).
@@ -1446,7 +1389,6 @@ class KernelSimulator:
                         held_mask[slot] = held
                         acc_mask[slot] = acc
                         aw_mask[slot] = aw
-                        self._words_dirty.add(slot)
             else:
                 while fused < budget_room:
                     nxt = op_index + 1
@@ -1512,7 +1454,6 @@ class KernelSimulator:
                     held_mask[slot] = held
                     acc_mask[slot] = acc
                     aw_mask[slot] = aw
-                    self._words_dirty.add(slot)
         ik = self._ik
         if ik is not None and fused:
             # One introspection record per span actually taken: its
@@ -1572,7 +1513,6 @@ class KernelSimulator:
         if is_write:
             self._excl[item] = 1
             self._aw_mask[slot] |= bit
-        self._words_dirty.add(slot)
         if self.trace is not None:
             self.trace(
                 "lock_acquire",
@@ -1725,7 +1665,6 @@ class KernelSimulator:
         self._service[slot] = 0.0
         self._acc_mask[slot] = 0
         self._aw_mask[slot] = 0
-        self._words_dirty.add(slot)
         self._node_label[slot] = self._program[slot]
         self._node_state[slot] = self._init_state[slot]
         self._blocked_on[slot] = -1
@@ -1738,21 +1677,14 @@ class KernelSimulator:
             self._blocked_on[slot] = -1
             self._trace1("lock_wake", slot)
 
-    def _flush_words(self) -> None:
-        n_words = self._n_words
-        for slot in self._words_dirty:
-            self._acc_words[slot] = mask_to_words(self._acc_mask[slot], n_words)
-            self._aw_words[slot] = mask_to_words(self._aw_mask[slot], n_words)
-        self._words_dirty.clear()
-
-    def _on_mask_build(self, kind: str, seconds: float) -> None:
-        """SpecMasks materialization hook: count it, attribute its time."""
+    def _on_mask_build(self, seconds: float) -> None:
+        """``conflict_slots`` build hook: count it, attribute its time."""
         ik = self._ik
         if ik is not None:
-            ik.mask_builds[kind].inc()
+            ik.mask_builds.inc()
         prof = self._prof
         if prof is not None:
-            prof.timer("kernel.mask_build." + kind).add(seconds)
+            prof.timer("kernel.mask_build.conflict_slots").add(seconds)
 
     # ------------------------------------------------------------------
     # P-list bookkeeping

@@ -16,12 +16,13 @@ This module replaces the sets with integers:
   a workload once, plus a per-slot **conflict slot mask** (bit ``j``
   set ⇔ slot ``j``'s declared sets conflict with slot ``i``'s), making
   ``IOwait-schedule`` compatibility one ``&`` against the P-list mask;
-* a parallel ``numpy`` ``uint64`` word matrix of the same masks backs
-  the batched penalty scan in :mod:`repro.core.kernel`;
 * :class:`StateTable` flattens a pre-analysis
-  :class:`~repro.analysis.table.RelationTable` into dense integer
-  matrices indexed by (program, node)-state ids, so the tree-program
-  oracle becomes two array lookups.
+  :class:`~repro.analysis.table.RelationTable` into dense ``bytearray``
+  rows of relation codes indexed by (program, node)-state ids, so the
+  tree-program oracle becomes two index lookups.
+
+Python ints are arbitrary-width, so one representation serves every
+database size: a 1000-item mask is still one int and one ``&``.
 
 Equality with the reference oracles over randomized access sets —
 including shared locks and tree programs — is property-tested in
@@ -32,15 +33,11 @@ from __future__ import annotations
 
 import functools
 import time as _time
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.relations import Conflict, Safety
 from repro.analysis.table import RelationTable
 from repro.rtdb.transaction import TransactionSpec
-
-_T = TypeVar("_T")
 
 #: Integer codes for the ternary relations, ordered by "badness" so the
 #: kernel can compare with plain ``>``/``==``.
@@ -80,19 +77,6 @@ def mask_items(mask: int) -> list[int]:
     return items
 
 
-def mask_to_words(mask: int, n_words: int) -> np.ndarray:
-    """Split a Python-int mask into ``n_words`` little-endian uint64 words."""
-    words = np.zeros(n_words, dtype=np.uint64)
-    index = 0
-    while mask and index < n_words:
-        words[index] = mask & 0xFFFFFFFFFFFFFFFF
-        mask >>= 64
-        index += 1
-    if mask:
-        raise ValueError("mask has bits beyond the declared word count")
-    return words
-
-
 def flat_safety(
     subject_accessed: int,
     subject_accessed_writes: int,
@@ -120,34 +104,45 @@ def flat_conflict(a_data: int, a_write: int, b_data: int, b_write: int) -> int:
     return CONFLICT_NONE
 
 
-def _pairwise_conflicts(
-    data_words: np.ndarray, write_words: np.ndarray
-) -> list[int]:
+def _conflict_rows(data: list[int], write: list[int]) -> list[int]:
     """Slot-mask rows of the certain-conflict relation.
 
     Bit ``j`` of row ``i`` is set iff slots ``i`` and ``j`` (``i != j``)
-    certainly conflict: either one's declared write set intersects the
-    other's data set.  Computed as a blocked numpy broadcast so workload
-    construction stays linear-ish in wall time (the relation itself is
-    quadratic) without materializing the full (n, n, n_words) cube.
+    certainly conflict: either one's write mask intersects the other's
+    data mask.  Built through per-item slot masks — ``touchers[k]``
+    (slots whose data mask holds item ``k``) and ``writers[k]`` (slots
+    whose write mask holds it) — so the cost is linear in the number of
+    mask bits rather than quadratic in the slot count.  Slots with equal
+    ``(data, write)`` masks (same transaction type) share one row
+    computation.
     """
-    n = data_words.shape[0]
-    if n == 0:
-        return []
-    n_words = data_words.shape[1]
-    hits = np.zeros((n, n), dtype=bool)
-    # ~2M uint64 scratch elements per block.
-    block = max(1, (1 << 21) // max(1, n * n_words))
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        hits[lo:hi] = (
-            write_words[lo:hi, None, :] & data_words[None, :, :]
-        ).any(axis=2) | (
-            data_words[lo:hi, None, :] & write_words[None, :, :]
-        ).any(axis=2)
-    np.fill_diagonal(hits, False)
-    packed = np.packbits(hits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    groups: dict[tuple[int, int], int] = {}
+    for slot, key in enumerate(zip(data, write)):
+        groups[key] = groups.get(key, 0) | 1 << slot
+    bits: dict[int, list[int]] = {}
+    for key in groups:
+        for mask in key:
+            if mask not in bits:
+                bits[mask] = mask_items(mask)
+    width = max((mask.bit_length() for mask in bits), default=0)
+    touchers = [0] * width
+    writers = [0] * width
+    for (data_mask, write_mask), slots in groups.items():
+        for item in bits[data_mask]:
+            touchers[item] |= slots
+        for item in bits[write_mask]:
+            writers[item] |= slots
+    row_of = {}
+    for data_mask, write_mask in groups:
+        row = 0
+        for item in bits[write_mask]:
+            row |= touchers[item]
+        for item in bits[data_mask]:
+            row |= writers[item]
+        row_of[data_mask, write_mask] = row
+    return [
+        row_of[key] & ~(1 << slot) for slot, key in enumerate(zip(data, write))
+    ]
 
 
 class SpecMasks:
@@ -155,39 +150,29 @@ class SpecMasks:
 
     ``data``/``write`` are item masks of each spec's declared sets;
     ``conflict_slots[i]`` has bit ``j`` set iff slots ``i`` and ``j``
-    certainly conflict under the flat (SetOracle) relations.  The
-    ``*_words`` matrices are the same masks as ``(n_slots, n_words)``
-    uint64 arrays for numpy-batched scans.
+    certainly conflict under the flat (SetOracle) relations, and is a
+    function of ``data``/``write`` alone.  ``n_words`` is the mask
+    width in 64-bit words, kept as a size measure for reports.
 
-    ``conflict_slots`` (quadratic in the workload size) and the word
-    matrices are built lazily on first access: only the IOwait
-    scheduler and the multi-word batched penalty scan consume them, so
-    plain-policy simulations never pay for either.
+    ``conflict_slots`` (quadratic in the workload size) is built lazily
+    on first access: only the IOwait scheduler consumes it, so
+    plain-policy simulations never pay for it.
 
-    ``on_build`` is an optional observer ``(kind, seconds)`` called once
-    per lazy materialization — the kernel wires it to its introspection
-    counters and span profiler so "how often and how expensively do the
-    mask matrices materialize" is visible.  It observes; it never
-    changes what gets built or when.
+    ``on_build`` is an optional observer ``(seconds)`` called when
+    ``conflict_slots`` materializes — the kernel wires it to its
+    introspection counters and span profiler so "how often and how
+    expensively does the conflict matrix materialize" is visible.  It
+    observes; it never changes what gets built or when.
     """
 
     #: Materialization observer; ``None`` (the default) costs one
-    #: attribute check per *build*, i.e. at most three per workload.
-    on_build: Optional[Callable[[str, float], None]] = None
+    #: attribute check per *build*, i.e. at most one per workload.
+    on_build: Optional[Callable[[float], None]] = None
 
     def __init__(self, data: list[int], write: list[int], n_words: int) -> None:
         self.data = data
         self.write = write
         self.n_words = n_words
-
-    def _build(self, kind: str, builder: "Callable[[], _T]") -> "_T":
-        hook = self.on_build
-        if hook is None:
-            return builder()
-        t0 = _time.perf_counter()  # repro: allow[DET001] -- build timing feeds observability only, never simulation state
-        result = builder()
-        hook(kind, _time.perf_counter() - t0)  # repro: allow[DET001] -- build timing feeds observability only, never simulation state
-        return result
 
     @classmethod
     def from_specs(
@@ -207,36 +192,25 @@ class SpecMasks:
             write.append(write_mask)
         return cls(data, write, max(1, (db_size + 63) // 64))
 
-    def _words_of(self, masks: list[int]) -> np.ndarray:
-        words = np.zeros((len(masks), self.n_words), dtype=np.uint64)
-        for i, mask in enumerate(masks):
-            words[i] = mask_to_words(mask, self.n_words)
-        return words
-
-    @functools.cached_property
-    def data_words(self) -> np.ndarray:
-        return self._build("data_words", lambda: self._words_of(self.data))
-
-    @functools.cached_property
-    def write_words(self) -> np.ndarray:
-        return self._build("write_words", lambda: self._words_of(self.write))
-
     @functools.cached_property
     def conflict_slots(self) -> list[int]:
-        return self._build(
-            "conflict_slots",
-            lambda: _pairwise_conflicts(self.data_words, self.write_words),
-        )
+        hook = self.on_build
+        if hook is None:
+            return _conflict_rows(self.data, self.write)
+        t0 = _time.perf_counter()  # repro: allow[DET001] -- build timing feeds observability only, never simulation state
+        rows = _conflict_rows(self.data, self.write)
+        hook(_time.perf_counter() - t0)  # repro: allow[DET001] -- build timing feeds observability only, never simulation state
+        return rows
 
 
 class StateTable:
     """A :class:`~repro.analysis.table.RelationTable` flattened to arrays.
 
     Every (program, node) pair a transaction can be in becomes one
-    integer *state id*; ``safety[s, r]`` / ``conflict[a, b]`` are dense
-    int8 matrices of the relation codes.  Building the table forces the
-    full precompute the paper prescribes — all analysis cost moves to
-    start-up and the scheduler does two array reads per question.
+    integer *state id*; ``safety[s][r]`` / ``conflict[a][b]`` are dense
+    ``bytearray`` rows of the relation codes.  Building the table forces
+    the full precompute the paper prescribes — all analysis cost moves
+    to start-up and the scheduler does two index reads per question.
     """
 
     def __init__(self, table: RelationTable) -> None:
@@ -250,17 +224,22 @@ class StateTable:
         self.state_index: dict[tuple[str, str], int] = {
             state: index for index, state in enumerate(states)
         }
-        n = len(states)
-        self.safety = np.zeros((n, n), dtype=np.int8)
-        self.conflict = np.zeros((n, n), dtype=np.int8)
-        for i, (name_a, label_a) in enumerate(states):
-            for j, (name_b, label_b) in enumerate(states):
-                self.safety[i, j] = _SAFETY_TO_CODE[
-                    table.safety(name_a, label_a, name_b, label_b)
-                ]
-                self.conflict[i, j] = _CONFLICT_TO_CODE[
+        self.safety = [
+            bytearray(
+                _SAFETY_TO_CODE[table.safety(name_a, label_a, name_b, label_b)]
+                for name_b, label_b in states
+            )
+            for name_a, label_a in states
+        ]
+        self.conflict = [
+            bytearray(
+                _CONFLICT_TO_CODE[
                     table.conflict(name_a, label_a, name_b, label_b)
                 ]
+                for name_b, label_b in states
+            )
+            for name_a, label_a in states
+        ]
 
     def index_of(self, program: str, label: str) -> int:
         """State id of (program, node label); KeyError if unanalyzed."""
@@ -272,7 +251,7 @@ class StateTable:
             ) from None
 
     def safety_code(self, subject_state: int, runner_state: int) -> int:
-        return int(self.safety[subject_state, runner_state])
+        return self.safety[subject_state][runner_state]
 
     def conflict_code(self, state_a: int, state_b: int) -> int:
-        return int(self.conflict[state_a, state_b])
+        return self.conflict[state_a][state_b]

@@ -1,7 +1,7 @@
 """Kernel→reference self-healing fallback and quarantine bundles.
 
 The array kernel (``core/kernel.py``) is the sweep's fast path — and
-its single point of failure: a numpy edge case or encoding bug kills
+its single point of failure: a mask-encoding or indexing bug kills
 the cell with nothing but a traceback.  This module makes the fast
 path safe to *trust*: with a :class:`FallbackPolicy` active, a kernel
 cell that dies on an unexpected exception is

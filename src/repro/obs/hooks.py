@@ -141,7 +141,6 @@ class KernelIntrospection:
         "fusion_crossings",
         "span_len",
         "scan_scalar",
-        "scan_numpy",
         "scan_table",
         "prune_choose",
         "prune_dispatch",
@@ -172,9 +171,6 @@ class KernelIntrospection:
         self.scan_scalar = registry.counter(
             "kernel.penalty_scans", policy=policy_name, mode="scalar"
         )
-        self.scan_numpy = registry.counter(
-            "kernel.penalty_scans", policy=policy_name, mode="numpy"
-        )
         self.scan_table = registry.counter(
             "kernel.penalty_scans", policy=policy_name, mode="table"
         )
@@ -187,12 +183,9 @@ class KernelIntrospection:
         self.prune_wound = registry.counter(
             "kernel.cca_prunes", policy=policy_name, site="wound"
         )
-        self.mask_builds = {
-            kind: registry.counter(
-                "kernel.mask_builds", policy=policy_name, kind=kind
-            )
-            for kind in ("data_words", "write_words", "conflict_slots")
-        }
+        self.mask_builds = registry.counter(
+            "kernel.mask_builds", policy=policy_name, kind="conflict_slots"
+        )
         self.events_fired = registry.counter(
             "kernel.events_fired", policy=policy_name
         )

@@ -407,23 +407,16 @@ def _cpu_model() -> Optional[str]:
 
 
 def host_provenance() -> dict:
-    """Who measured: interpreter, numpy, CPU, and core count.
+    """Who measured: interpreter, platform, CPU, and core count.
 
     Recorded in ``repro bench`` output and the committed
     ``BENCH_kernel.json`` so baselines measured on different machines
     are distinguishable (ratios are host-independent; absolute
     milliseconds are not).
     """
-    try:
-        import numpy
-
-        numpy_version: Optional[str] = numpy.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dep today
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "numpy": numpy_version,
         "platform": f"{platform.system()}-{platform.machine()}",
         "cpu_model": _cpu_model(),
         "cpu_count": os.cpu_count(),

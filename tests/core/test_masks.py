@@ -9,19 +9,16 @@ the equivalences the kernel relies on, over randomized access sets:
   for every partial access state, including shared (read) locks;
 * ``SpecMasks`` packs exactly the declared sets and its precomputed
   ``conflict_slots`` matrix equals pairwise ``SetOracle.conflict``;
-* the uint64 word matrices are a faithful split of the Python-int masks
-  and reproduce the same UNSAFE verdicts via numpy;
 * ``StateTable`` reproduces ``RelationTable`` over every (program, node)
   state pair of randomized tree programs.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.relations import Conflict, Safety
+from repro.analysis.relations import Conflict
 from repro.core.masks import (
     CONFLICT_FROM_CODE,
     SAFETY_FROM_CODE,
@@ -31,14 +28,13 @@ from repro.core.masks import (
     flat_safety,
     items_mask,
     mask_items,
-    mask_to_words,
 )
 from repro.core.oracle import SetOracle, TreeOracle, replay_transaction
 from repro.rtdb.transaction import Operation, TransactionSpec
 from repro.workload.programs import TreeWorkloadGenerator
 from repro.config import SimulationConfig
 
-DB_SIZE = 130  # > 2 uint64 words, so the word split is exercised
+DB_SIZE = 130  # masks wider than two 64-bit words
 
 COMMON_SETTINGS = settings(
     max_examples=200,
@@ -82,25 +78,6 @@ class TestMaskPrimitives:
     @COMMON_SETTINGS
     def test_items_mask_roundtrip(self, items):
         assert mask_items(items_mask(items)) == sorted(items)
-
-    @given(items=item_sets)
-    @COMMON_SETTINGS
-    def test_word_split_preserves_every_bit(self, items):
-        mask = items_mask(items)
-        n_words = (DB_SIZE + 63) // 64
-        words = mask_to_words(mask, n_words)
-        rebuilt = 0
-        for index, word in enumerate(words.tolist()):
-            rebuilt |= word << (64 * index)
-        assert rebuilt == mask
-
-    @given(a=item_sets, b=item_sets)
-    @COMMON_SETTINGS
-    def test_word_intersection_equals_mask_intersection(self, a, b):
-        n_words = (DB_SIZE + 63) // 64
-        wa = mask_to_words(items_mask(a), n_words)
-        wb = mask_to_words(items_mask(b), n_words)
-        assert bool(np.bitwise_and(wa, wb).any()) == bool(a & b)
 
 
 class TestFlatVsSetOracle:
@@ -167,10 +144,6 @@ class TestSpecMasks:
             tx = replay_transaction(spec)
             assert frozenset(mask_items(masks.data[slot])) == tx.data_set
             assert frozenset(mask_items(masks.write[slot])) == tx.write_set
-            rebuilt = 0
-            for index, word in enumerate(masks.data_words[slot].tolist()):
-                rebuilt |= word << (64 * index)
-            assert rebuilt == masks.data[slot]
 
     @given(specs=workloads())
     @COMMON_SETTINGS
@@ -185,36 +158,6 @@ class TestSpecMasks:
                     and oracle.conflict(txs[i], txs[j]) is Conflict.CERTAIN
                 )
                 assert bool(masks.conflict_slots[i] >> j & 1) == expected
-
-    @given(specs=workloads())
-    @COMMON_SETTINGS
-    def test_numpy_unsafe_scan_equals_scalar(self, specs):
-        """The kernel's batched penalty membership test, in miniature."""
-        masks = SpecMasks.from_specs(specs, DB_SIZE)
-        oracle = SetOracle()
-        # Fully-accessed subjects: accessed == declared sets.
-        txs = [
-            replay_transaction(
-                spec,
-                accessed={op.item for op in spec.operations},
-                accessed_writes={
-                    op.item for op in spec.operations if op.is_write
-                },
-            )
-            for spec in specs
-        ]
-        acc_words = masks.data_words
-        aw_words = masks.write_words
-        for runner in range(len(specs)):
-            unsafe = (
-                np.bitwise_and(aw_words, masks.data_words[runner]).any(axis=1)
-                | np.bitwise_and(acc_words, masks.write_words[runner]).any(axis=1)
-            )
-            for subject in range(len(specs)):
-                expected = (
-                    oracle.safety(txs[subject], txs[runner]) is Safety.UNSAFE
-                )
-                assert bool(unsafe[subject]) == expected
 
 
 class TestStateTable:

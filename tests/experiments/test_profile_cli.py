@@ -89,10 +89,10 @@ class TestKernelDigest:
             "kernel.fused_ops{policy=CCA}": 36,
             "kernel.fusion_truncated{policy=CCA}": 1,
             "kernel.fusion_arrival_crossings{policy=CCA}": 4,
-            "kernel.penalty_scans{mode=numpy,policy=CCA}": 7,
+            "kernel.penalty_scans{mode=table,policy=CCA}": 7,
             "kernel.penalty_scans{mode=scalar,policy=CCA}": 3,
             "kernel.cca_prunes{policy=CCA,site=choose}": 9,
-            "kernel.mask_builds{kind=data_words,policy=CCA}": 6,
+            "kernel.mask_builds{kind=conflict_slots,policy=CCA}": 6,
             "kernel.events_fired{policy=CCA}": 400,
             "sim.commits{policy=CCA}": 100,
         },
@@ -106,7 +106,7 @@ class TestKernelDigest:
         assert "12 spans (free 10, locked 2)" in digest
         assert "36 ops fused (3.00/span)" in digest
         assert "1 truncated, 4 arrival crossings" in digest
-        assert "penalty scans: numpy=7 scalar=3" in digest
+        assert "penalty scans: scalar=3 table=7" in digest
         assert "cca prunes: choose=9" in digest
         assert "mask builds: 6; kernel events: 400" in digest
 

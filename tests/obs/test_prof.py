@@ -183,7 +183,6 @@ class TestHostProvenance:
         assert set(host) == {
             "python",
             "implementation",
-            "numpy",
             "platform",
             "cpu_model",
             "cpu_count",

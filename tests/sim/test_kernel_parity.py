@@ -258,7 +258,9 @@ def generated_cells(draw):
         n_transaction_types=draw(st.integers(2, 12)),
         updates_mean=draw(st.floats(2.0, 6.0)),
         updates_std=draw(st.floats(0.5, 3.0)),
-        db_size=draw(st.integers(8, 40)),
+        # 65+ items gives masks of 2-16 64-bit words, the widths the
+        # large-DB figures (fig4f/fig5e) run at.
+        db_size=draw(st.one_of(st.integers(8, 40), st.integers(65, 1000))),
         n_transactions=draw(st.integers(5, 25)),
         arrival_rate=draw(st.floats(2.0, 12.0)),
         disk_resident=draw(st.booleans()),
