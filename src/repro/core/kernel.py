@@ -258,13 +258,6 @@ class KernelSimulator:
         tids = [spec.tid for spec in workload]
         if len(set(tids)) != len(tids):
             raise ValueError("workload contains duplicate transaction ids")
-        for spec in workload:
-            for op in spec.operations:
-                if not 0 <= op.item < config.db_size:
-                    raise KeyError(
-                        f"transaction {spec.tid} updates item {op.item}, "
-                        f"outside the database of size {config.db_size}"
-                    )
 
         self.config = config
         self.workload = tuple(workload)
@@ -342,48 +335,55 @@ class KernelSimulator:
         self._deadline = [spec.deadline for spec in self.workload]
         self._type_id = [spec.type_id for spec in self.workload]
         self._crit = [float(spec.criticalness) for spec in self.workload]
-        self._n_ops = [len(spec.operations) for spec in self.workload]
         self._node_schedule = [spec.node_schedule for spec in self.workload]
         self._program = [spec.program_name for spec in self.workload]
-        # Flattened operation table: slot i's ops live at
-        # [op_off[i], op_off[i] + n_ops[i]).
-        self._op_off = []
-        offset = 0
-        for count in self._n_ops:
-            self._op_off.append(offset)
-            offset += count
-        all_ops = [op for spec in self.workload for op in spec.operations]
-        self._op_item = [op.item for op in all_ops]
-        self._op_compute = [op.compute_time for op in all_ops]
-        self._op_io = [op.io_time for op in all_ops]
-        self._op_write = [op.is_write for op in all_ops]
-        # Resource time per slot, for the deadline-miss metric bands.
-        # Same additions in the same order as TransactionSpec.resource_time,
-        # computed from the flat arrays instead of per-op attribute walks.
-        op_compute = self._op_compute
-        op_io = self._op_io
-        self._resource_time = [
-            sum(map(_add, op_compute[off:off + cnt], op_io[off:off + cnt]))
-            for off, cnt in zip(self._op_off, self._n_ops)
-        ]
+        # Flat operation table, one segment per distinct operations tuple
+        # (per type off disk: the generator shares them); slot i's ops live
+        # at [op_off[i], op_off[i] + n_ops[i]).  A segment's item check,
+        # resource time (TransactionSpec.resource_time's additions, in
+        # order) and masks (as SpecMasks.from_specs) are built once, keyed
+        # by tuple identity: self.workload keeps the tuples alive, and a
+        # content hash would cost more than the build it saves.
+        db = config.db_size
+        op_item: list[int] = []
+        op_compute: list[float] = []
+        op_io: list[float] = []
+        op_write: list[bool] = []
+        segments: dict[int, tuple[int, int, float, int, int]] = {}
+        rows = []
+        for spec in self.workload:
+            key = id(spec.operations)  # repro: allow[DET004] -- lookup-only memo, never iterated
+            row = segments.get(key)
+            if row is None:
+                off = len(op_item)
+                data_mask = write_mask = 0
+                for op in spec.operations:
+                    if not 0 <= op.item < db:
+                        raise KeyError(
+                            f"transaction {spec.tid} updates item {op.item}, "
+                            f"outside the database of size {db}"
+                        )
+                    bit = 1 << op.item
+                    data_mask |= bit
+                    if op.is_write:
+                        write_mask |= bit
+                    op_item.append(op.item)
+                    op_compute.append(op.compute_time)
+                    op_io.append(op.io_time)
+                    op_write.append(op.is_write)
+                resource_time = sum(map(_add, op_compute[off:], op_io[off:]))
+                row = segments[key] = (
+                    off, len(op_item) - off, resource_time, data_mask, write_mask
+                )
+            rows.append(row)
+        self._op_item, self._op_compute, self._op_io, self._op_write = (
+            op_item, op_compute, op_io, op_write
+        )
+        self._op_off, self._n_ops, self._resource_time, data_masks, write_masks = map(
+            list, zip(*rows)
+        )
 
         # -- static conflict masks ------------------------------------------
-        # Same masks as SpecMasks.from_specs, built from the flat op
-        # arrays (cheaper than re-walking the spec objects).
-        op_item = self._op_item
-        op_write = self._op_write
-        data_masks: list[int] = []
-        write_masks: list[int] = []
-        for off, cnt in zip(self._op_off, self._n_ops):
-            data_mask = 0
-            write_mask = 0
-            for k in range(off, off + cnt):
-                bit = 1 << op_item[k]
-                data_mask |= bit
-                if op_write[k]:
-                    write_mask |= bit
-            data_masks.append(data_mask)
-            write_masks.append(write_mask)
         self._masks = SpecMasks(
             data_masks, write_masks, max(1, (config.db_size + 63) // 64)
         )
@@ -419,7 +419,6 @@ class KernelSimulator:
         self._aw_mask = [0] * n
 
         # -- lock table ------------------------------------------------------
-        db = config.db_size
         self._holders: list[dict[int, None]] = [dict() for _ in range(db)]
         self._excl = bytearray(db)
         self._held_mask = [0] * n

@@ -456,19 +456,22 @@ def simulate_cell_observed(
     if engine.locking:
         options.update(metrics=registry, profile=profile, introspect=True)
     simulator = engine.build(config, workload, policy_name, **options)
+    built = time.perf_counter()
+    observe_stage(registry, "build", (built - generated) * 1000.0)
     ran = engine.family
     if engine.locking:
         ran = "kernel" if isinstance(simulator, KernelSimulator) else "reference"
     registry.counter("sweep.engine", engine=ran).inc()
     result = simulator.run()
     finished = time.perf_counter()
-    observe_stage(registry, "simulate", (finished - generated) * 1000.0)
+    observe_stage(registry, "event_loop", (finished - built) * 1000.0)
     if profile is not None:
         cell_args = {"policy": policy_name, "seed": seed, "engine": ran}
         profile.add_span(
             "cell.workload_gen", "stage", started, generated, {"n": len(workload)}
         )
-        profile.add_span("cell.simulate", "stage", generated, finished, cell_args)
+        profile.add_span("cell.build", "stage", generated, built, cell_args)
+        profile.add_span("cell.event_loop", "stage", built, finished, cell_args)
     return result, (finished - started) * 1000.0, registry.snapshot()
 
 

@@ -50,7 +50,8 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional
 
 #: Stage wall-time histogram series name; one ``stage=<name>`` label per
-#: pipeline stage (workload_gen, simulate, certify, cache_put, merge).
+#: pipeline stage (workload_gen, build, event_loop, certify, cache_put,
+#: merge).
 #: Wall-clock by nature, so parity tests exclude the ``prof.`` prefix
 #: exactly as they exclude ``sweep.cell_wall_ms``.
 STAGE_SERIES = "prof.stage_ms"

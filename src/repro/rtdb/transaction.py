@@ -82,6 +82,10 @@ class TransactionSpec:
     arrival_time: float
     deadline: float
     operations: tuple[Operation, ...]
+    """The accesses in execution order.  The workload generator shares
+    one tuple among instances of the same type (and, on disk, the same
+    disk legs); sharing is safe because the tuple and its operations are
+    immutable."""
     program_name: str = ""
     """Name of the pre-analyzed program this transaction runs (defaults to
     the type id as a string)."""

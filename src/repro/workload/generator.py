@@ -11,6 +11,17 @@ Stream separation (see :class:`repro.sim.random.StreamFactory`) keeps the
 type table, arrival process, type choices, slack draws and disk-access
 coin flips independent, so e.g. changing the arrival rate does not
 perturb the type table of the same seed.
+
+Operations are built once per *program*, as the paper pre-analyzes
+programs rather than instances: within one :meth:`~WorkloadGenerator.generate`
+call, instances with the same type and the same disk legs share one
+operations tuple (and its resource time), and equal operations are one
+:class:`Operation` object.  Off disk no leg is ever drawn, so every
+instance of a type shares its type's tuple.  Sharing changes no draw:
+the disk-access coin is still flipped only for disk-resident workloads,
+once per operation in operation order, and the resource time sums the
+same terms in the same order, so workloads are bit-identical to
+building every operation afresh.
 """
 
 from __future__ import annotations
@@ -59,23 +70,39 @@ class WorkloadGenerator:
             arrivals = poisson_arrivals(
                 arrival_stream, config.arrival_rate, config.n_transactions
             )
+        # (type_id, legs) -> (operations, resource_time); ``legs`` has bit
+        # k set iff operation k draws a disk leg (always 0 off disk).
+        programs: dict[tuple[int, int], tuple[tuple[Operation, ...], float]] = {}
+        interned: dict[tuple[int, float, float, bool], Operation] = {}
         specs: list[TransactionSpec] = []
         for tid, arrival_time in enumerate(arrivals):
             tx_type = choice_stream.choice(types)
-            operations = tuple(
-                Operation(
-                    item=item,
-                    compute_time=tx_type.compute_per_update,
-                    io_time=(
-                        config.disk_access_time
-                        if config.disk_resident and io_stream.coin(config.disk_access_prob)
-                        else 0.0
-                    ),
-                    is_write=is_write,
+            legs = 0
+            if config.disk_resident:
+                for k in range(len(tx_type.items)):
+                    if io_stream.coin(config.disk_access_prob):
+                        legs |= 1 << k
+            program = programs.get((tx_type.type_id, legs))
+            if program is None:
+                ops = []
+                for k, (item, is_write) in enumerate(
+                    zip(tx_type.items, tx_type.write_flags)
+                ):
+                    fields = (
+                        item,
+                        tx_type.compute_per_update,
+                        config.disk_access_time if legs >> k & 1 else 0.0,
+                        is_write,
+                    )
+                    op = interned.get(fields)
+                    if op is None:
+                        op = interned[fields] = Operation(*fields)
+                    ops.append(op)
+                program = programs[tx_type.type_id, legs] = (
+                    tuple(ops),
+                    sum(op.compute_time + op.io_time for op in ops),
                 )
-                for item, is_write in zip(tx_type.items, tx_type.write_flags)
-            )
-            resource_time = sum(op.compute_time + op.io_time for op in operations)
+            operations, resource_time = program
             deadline = assign_deadline(
                 arrival_time,
                 resource_time,

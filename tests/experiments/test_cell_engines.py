@@ -164,7 +164,8 @@ class TestObservation:
         assert deltas["counters"] == {f"sweep.engine{{engine={family}}}": 1}
         stages = {key for key in deltas["histograms"] if key.startswith("prof.stage_ms")}
         assert stages == {
-            "prof.stage_ms{stage=simulate}",
+            "prof.stage_ms{stage=build}",
+            "prof.stage_ms{stage=event_loop}",
             "prof.stage_ms{stage=workload_gen}",
         }
 
@@ -172,7 +173,7 @@ class TestObservation:
         result, _, _, prof_state = simulate_cell_profiled(config, SEED, "OCC")
         assert result == simulate_cell(config, SEED, "OCC")
         names = {span[1] for span in prof_state["spans"]}
-        assert {"cell.workload_gen", "cell.simulate"} <= names
+        assert {"cell.workload_gen", "cell.build", "cell.event_loop"} <= names
 
     def test_metrics_and_profile_leave_mixed_results_unchanged(self, config):
         cells = cells_for_sweep({0.0: config}, (SEED, SEED + 1), LABELS)

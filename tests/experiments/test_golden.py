@@ -1,7 +1,8 @@
 """Golden regression tests: seed-pinned figure data vs committed JSON.
 
-Small-scale, seed-pinned runs of ``fig4a``, ``fig5a`` and ``table1``
-are compared point-by-point against fixtures committed under
+Small-scale, seed-pinned runs of ``fig4a``, ``fig4f`` (the large-DB
+sweep, so multi-word masks), ``fig5a`` and ``table1`` are compared
+point-by-point against fixtures committed under
 ``tests/experiments/golden/``.  The simulator is deterministic, so any
 drift here means a scheduler/workload refactor changed the paper's
 curves — which must be a conscious decision, not an accident.  The
@@ -32,7 +33,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: enough for CI, large enough that every scheduler path is exercised.
 GOLDEN_SCALE = ExperimentScale("golden", 2, 2, 0.1)
 
-GOLDEN_IDS = ("fig4a", "fig5a", "table1")
+GOLDEN_IDS = ("fig4a", "fig4f", "fig5a", "table1")
 
 
 def compute(figure_id: str) -> dict:

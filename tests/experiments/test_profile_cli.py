@@ -45,14 +45,15 @@ class TestProfileCell:
         printed = capsys.readouterr().out
         assert "cell x=4 seed=1 policy=CCA" in printed
         assert "stage timing" in printed
-        assert "workload_gen" in printed and "simulate" in printed
+        for stage in ("workload_gen", "build", "event_loop"):
+            assert f"  {stage:<14s} count=1 " in printed
         assert "aggregate timers" in printed
         assert "[kernel digest]" in printed
         doc = json.loads(out.read_text())
         assert validate_chrome_trace(doc) == []
         assert doc["experiment"] == "fig4a"
         names = {event["name"] for event in doc["traceEvents"]}
-        assert "cell.simulate" in names
+        assert {"cell.build", "cell.event_loop"} <= names
 
     def test_unknown_cell_is_usage_error(self, tmp_path, capsys):
         assert main(
