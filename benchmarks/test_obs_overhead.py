@@ -112,5 +112,5 @@ def test_disabled_observability_binds_nothing():
     assert simulator._m is None
     assert simulator.sampler is None
     simulator.run()
-    kinds = {event.kind for event in simulator.sim.calendar._heap}
+    kinds = {event.kind for _, _, event in simulator.sim.calendar._heap}
     assert "obs_sample" not in kinds

@@ -445,7 +445,11 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
     parallel.take_fallbacks()
     if args.experiment == "validate":
         from repro.experiments.report import render_kernel_digest
-        from repro.experiments.validation import render_report, validate_all
+        from repro.experiments.validation import (
+            render_report,
+            validate_all,
+            validate_ext_occ,
+        )
 
         started = time.time()
         counters = TraceCounters()
@@ -454,7 +458,7 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
         # not a manifest was requested.
         registry = MetricsRegistry()
         with parallel.execution(trace=counters, metrics=registry):
-            checks = validate_all(scale)
+            checks = validate_all(scale) + validate_ext_occ(scale)
         failures = parallel.take_failures()
         fallbacks = parallel.take_fallbacks()
         print(render_report(checks))
@@ -496,7 +500,7 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
                 jobs=parallel.resolve_jobs(args.jobs),
                 elapsed=elapsed,
                 failures=failures,
-                notes="aggregate over every figure's validation sweeps",
+                notes="aggregate over every figure's validation sweeps and ext-occ",
                 engine_fallbacks=fallbacks,
             )
             print(f"wrote manifest {path}")

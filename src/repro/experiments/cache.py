@@ -218,7 +218,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, separators=(",", ":"))
+                # One json.dumps call runs the C encoder; json.dump
+                # would stream through the pure-Python iterencode.
+                handle.write(json.dumps(entry, separators=(",", ":")))
                 # Flush user-space buffers and force the data to disk
                 # *before* the rename publishes the entry: a worker (or
                 # host) killed mid-write can leave a stale ``.tmp``

@@ -13,7 +13,9 @@ manifests); ``OCC`` and ``<policy>x<n>`` cell labels select the OCC and
 multiprocessor engines (``parallel.CELL_ENGINES``).
 
 The corresponding benchmarks (``benchmarks/test_extension_*.py``) carry
-the assertions; these experiments carry the data.
+the assertions; these experiments carry the data.  ``ext-occ``'s claims
+are instead checked on its own series by
+:func:`repro.experiments.validation.validate_ext_occ` (``repro validate``).
 """
 
 from __future__ import annotations

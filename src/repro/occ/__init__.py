@@ -6,7 +6,8 @@ that "optimistic concurrency control ... shows better performance only
 for firm real-time transactions".  This package provides that
 comparator: a broadcast-commit OCC simulator sharing the workloads,
 policies and metrics of the locking simulators, so the claim can be
-re-tested directly (``benchmarks/test_extension_occ.py``).
+re-tested directly (``repro ext-occ``, checked by
+``repro.experiments.validation.validate_ext_occ``).
 """
 
 from repro.occ.simulator import OCCSimulator

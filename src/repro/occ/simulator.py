@@ -16,10 +16,19 @@ an optimistic variant of cost-consciousness.
 The disk-resident configuration is supported: with no locks there are no
 noncontributing executions, so during an IO wait the highest-priority
 ready transaction simply runs.
+
+Compute phases use the array kernel's operation-fusion span rule,
+without the locks (``docs/KERNEL.md``): every operation boundary that
+falls strictly before the next pending event is completed eagerly inside
+one compute span, so only the span's last boundary costs an event.
+Results, ``sim.events_processed`` and event-budget aborts are identical
+to per-boundary execution, which a trace hook, ``sim.on_event`` or
+``sim.tie_breaker`` selects.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from repro.config import SimulationConfig
@@ -290,14 +299,7 @@ class OCCSimulator:
                 self._dispatch()
                 return
             if tx.remaining_compute > _EPS:
-                self._phase_start = self.sim.now
-                self._phase_duration = tx.remaining_compute
-                self._service_event = self.sim.schedule(
-                    tx.remaining_compute,
-                    self._on_phase_complete,
-                    kind="compute_done",
-                    payload=tx,
-                )
+                self._start_compute(tx)
                 return
             if tx.is_done:
                 self._commit(tx)
@@ -310,6 +312,88 @@ class OCCSimulator:
             tx.remaining_compute = op.compute_time
             tx.io_pending = self.disk is not None and op.needs_io
 
+    def _start_compute(self, tx: Transaction) -> None:
+        """Schedule the current compute phase, fusing operations into it.
+
+        This is the array kernel's span rule without the locks.  While
+        the CPU computes, the calendar is frozen: events are the only
+        source of change, and the handler that starts a compute phase
+        schedules nothing after it (the io and commit paths of
+        :meth:`_run` hand the CPU over instead).  Every operation
+        boundary strictly before the earliest pending event therefore
+        completes unobserved, so its per-boundary work — service
+        accounting, ``op_index``, access recording, node advancement —
+        is done eagerly now, in boundary order, and only the span's
+        last boundary gets a phase event.  Boundary times accumulate
+        by repeated addition, as per-boundary scheduling computes them.
+        (Past operation 0 the P-list insertion of
+        :meth:`_note_partially_executed` is a no-op, so it is skipped.)
+
+        A span stops at the last operation, at an operation needing
+        disk io, at a boundary at or past the calendar horizon, or at
+        the event budget's reach: it never crosses the boundary at
+        which per-boundary execution would raise
+        :class:`~repro.sim.engine.EventBudgetExceeded`.  Each fused
+        boundary is credited to ``sim.events_processed`` as one fired
+        event.  ``_phase_start``/``_phase_duration`` describe the last
+        operation only, so a preemption at the horizon — and CCA's
+        :meth:`_effective_service` — sees exactly the per-boundary
+        state.  Fusion changes which instants fire their own events, so
+        it is off whenever a trace hook, ``sim.on_event`` or
+        ``sim.tie_breaker`` is attached.
+        """
+        sim = self.sim
+        start = sim.now
+        remaining = tx.remaining_compute
+        end = start + remaining
+        if self.trace is None and sim.on_event is None and sim.tie_breaker is None:
+            horizon = sim.calendar.peek_time()
+            if horizon is None:
+                horizon = math.inf
+            operations = tx.spec.operations
+            node_schedule = tx.spec.node_schedule
+            disk = self.disk is not None
+            accessed = tx.accessed
+            accessed_writes = tx.accessed_writes
+            service = tx.service_received
+            op_index = first = tx.op_index
+            # Inside this callback events_processed already counts it;
+            # boundary k of the span fires as event events_processed + k
+            # only while events_processed + k - 1 < max_events, so at
+            # most max_events - events_processed - 1 boundaries fuse
+            # and the phase event still passes the budget check.
+            room = self.max_events - sim.events_processed - 1
+            stop = min(len(operations) - 1, first + room)
+            while end < horizon and op_index < stop:
+                op = operations[op_index + 1]
+                if disk and op.needs_io:
+                    break
+                # Complete the current operation and start the next, as
+                # _on_phase_complete + _run would, with record_access
+                # inlined.
+                service += remaining
+                op_index += 1
+                accessed.add(op.item)
+                if op.is_write:
+                    accessed_writes.add(op.item)
+                if node_schedule:
+                    tx.op_index = op_index
+                    self._advance_node(tx)
+                start = end
+                remaining = op.compute_time
+                end = start + remaining
+            fused = op_index - first
+            if fused:
+                tx.op_index = op_index
+                tx.service_received = service
+                tx.remaining_compute = remaining
+                sim._events_processed += fused
+        self._phase_start = start
+        self._phase_duration = remaining
+        self._service_event = sim.schedule_at(
+            end, self._on_phase_complete, kind="compute_done", payload=tx
+        )
+
     def _advance_node(self, tx: Transaction) -> None:
         for op_index, label in tx.spec.node_schedule:
             if op_index == tx.op_index:
@@ -321,10 +405,11 @@ class OCCSimulator:
         """Validate by broadcast, then commit."""
         self.cpu.stop(self.sim.now)
         self.running = None
+        write_set = tx.write_set
         victims = [
             other
             for other in self.live.values()
-            if other.tid != tx.tid and other.accessed & tx.write_set
+            if other is not tx and other.accessed & write_set
         ]
         for victim in victims:
             self._restart(victim, invalidated_by=tx)

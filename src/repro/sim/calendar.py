@@ -6,6 +6,11 @@ simulated time therefore fire in insertion order, which keeps simulations
 deterministic — a property the paper's multi-seed averaging methodology
 relies on.
 
+Heap entries are ``(time, sequence, event)`` tuples.  Sequence numbers
+are unique, so tuple comparison never reaches the event and the heap
+orders entries with the interpreter's native float/int comparisons —
+events themselves define no ordering at all.
+
 Cancellation is *lazy*: a cancelled event stays in the heap but is skipped
 when popped.  This keeps cancellation O(1) and is the standard technique
 for simulations with frequent preemption (here: every CPU preemption
@@ -24,7 +29,7 @@ class EventCalendar:
     """A priority queue of :class:`~repro.sim.events.Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._sequence = 0
         self._live = 0
         self._live_required = 0
@@ -49,9 +54,9 @@ class EventCalendar:
         """
         if event.cancelled:
             raise ValueError("cannot schedule a cancelled event")
-        event._sequence = self._sequence
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
+        sequence = event._sequence = self._sequence
+        self._sequence = sequence + 1
+        heapq.heappush(self._heap, (event.time, sequence, event))
         self._live += 1
         if not event.daemon:
             self._live_required += 1
@@ -62,8 +67,9 @@ class EventCalendar:
 
         Cancelled events encountered on the way are discarded.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if not event.cancelled:
                 self._live -= 1
                 if not event.daemon:
@@ -73,13 +79,14 @@ class EventCalendar:
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if self._heap:
-            return self._heap[0].time
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if heap:
+            return heap[0][0]
         return None
 
-    def take_ties(self) -> list["Event"]:
+    def take_ties(self) -> list[Event]:
         """Remove and return *every* live event at the earliest time.
 
         The result is ordered by sequence number, so ``take_ties()[0]``
@@ -94,12 +101,10 @@ class EventCalendar:
         if first is None:
             return []
         ties = [first]
-        while self._heap:
-            while self._heap and self._heap[0].cancelled:
-                heapq.heappop(self._heap)
-            if not self._heap or self._heap[0].time != first.time:
-                break
-            ties.append(self.pop())
+        while self.peek_time() == first.time:
+            event = self.pop()
+            assert event is not None  # peek_time saw a live event
+            ties.append(event)
         return ties
 
     def reinsert(self, event: Event) -> None:
@@ -110,7 +115,7 @@ class EventCalendar:
             raise ValueError("cannot reinsert a cancelled event")
         if event._sequence is None:
             raise ValueError("reinsert is only for events that were pushed")
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event._sequence, event))
         self._live += 1
         if not event.daemon:
             self._live_required += 1
@@ -131,4 +136,4 @@ class EventCalendar:
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate over live events in no particular order."""
-        return (event for event in self._heap if not event.cancelled)
+        return (event for _, _, event in self._heap if not event.cancelled)

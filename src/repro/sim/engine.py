@@ -228,11 +228,20 @@ class Simulator:
         tracks get a (sim time, events fired) sample every few hundred
         events — pure observation at the wall-clock guard's cadence,
         never feeding simulation state.
+
+        The fired count the budget and the abort records use is read
+        from :attr:`events_processed`, so an engine that completes
+        several event boundaries inside one callback (OCC's fused
+        compute spans) credits them there and the budget trips at the
+        same boundary as strict per-event execution.  The wall-clock,
+        memory and profiler cadence counts loop iterations instead.
         """
         if self._running:
             raise SimulationError("run() is not re-entrant")
         self._running = True
+        base = self._events_processed
         fired = 0
+        loops = 0
         deadline: Optional[float] = None
         if max_wall_s is not None:
             # The wall-clock guard must read real time; it only raises,
@@ -259,7 +268,7 @@ class Simulator:
                     )
                 if (
                     deadline is not None
-                    and fired % _WALL_CHECK_INTERVAL == 0
+                    and loops % _WALL_CHECK_INTERVAL == 0
                     and _time.perf_counter() > deadline  # repro: allow[DET001] -- guard only raises
                 ):
                     raise WallClockExceeded(
@@ -267,7 +276,7 @@ class Simulator:
                         f"after {fired} events (sim time {self.now:g})",
                         {"events": fired, "sim_time": self.now},
                     )
-                if mem_limit is not None and fired % _WALL_CHECK_INTERVAL == 0:
+                if mem_limit is not None and loops % _WALL_CHECK_INTERVAL == 0:
                     rss = rss_bytes()
                     if rss is not None and rss > mem_limit:
                         raise MemoryBudgetExceeded(
@@ -281,8 +290,9 @@ class Simulator:
                             },
                         )
                 self.step()
-                fired += 1
-                if profile is not None and fired % _WALL_CHECK_INTERVAL == 0:
+                fired = self._events_processed - base
+                loops += 1
+                if profile is not None and loops % _WALL_CHECK_INTERVAL == 0:
                     profile.counter("engine.sim_time", self.now)
                     profile.counter("engine.events", float(fired))
         finally:

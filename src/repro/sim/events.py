@@ -8,9 +8,11 @@ from typing import Any, Callable, Optional
 class Event:
     """A timestamped callback.
 
-    Events compare by ``(time, sequence)`` so the calendar is stable.
-    ``payload`` carries arbitrary user data (typically the transaction the
-    event concerns) and ``kind`` is a short label used for tracing.
+    Events define no ordering: the calendar stores each one under a
+    ``(time, sequence)`` key, assigning ``_sequence`` on push, so
+    same-time events fire in insertion order.  ``payload`` carries
+    arbitrary user data (typically the transaction the event concerns)
+    and ``kind`` is a short label used for tracing.
 
     ``daemon`` events (observability samplers, periodic probes) fire
     like any other event but never keep the event loop alive: the engine
@@ -38,13 +40,6 @@ class Event:
         self.cancelled = False
         self.daemon = daemon
         self._sequence: Optional[int] = None
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        # Sequence numbers are assigned on push, so they are always set
-        # by the time two events are compared inside the heap.
-        return (self._sequence or 0) < (other._sequence or 0)
 
     def describe(self) -> dict[str, Any]:
         """A JSON-ready summary of this event, for diagnostic records

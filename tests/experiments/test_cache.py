@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.config import SimulationConfig
+from repro.core.simulator import SimulationResult, TransactionRecord
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (
     ResultCache,
@@ -98,6 +99,60 @@ class TestSerialization:
     def test_round_trip_through_json_text(self, result):
         text = json.dumps(result_to_dict(result))
         assert result_from_dict(json.loads(text)) == result
+
+
+#: A hand-built result whose floats exercise the encoder's shortest-repr
+#: path (thirds, exponents, near-integers).
+PINNED_RESULT = SimulationResult(
+    policy_name="OCC-EDF-HP",
+    n_committed=2,
+    n_missed=1,
+    total_restarts=3,
+    makespan=123.456,
+    cpu_utilization=1 / 3,
+    disk_utilization=0.0,
+    mean_plist_size=1e-07,
+    records=(
+        TransactionRecord(
+            tid=0, type_id=4, arrival_time=0.1, deadline=50.25,
+            commit_time=49.99999999999999, restarts=0,
+        ),
+        TransactionRecord(
+            tid=1, type_id=2, arrival_time=2.5, deadline=3.0,
+            commit_time=123.456, restarts=3,
+        ),
+    ),
+    n_dropped=0,
+)
+
+PINNED_KEY = "91f9a2b82eb65b1a0d07dbe354db37d8aaff9c3e3f9b55e004874e33d682a9a5"
+
+#: The exact bytes of PINNED_RESULT's entry: compact separators, no
+#: trailing newline.  Existing caches stay readable only while this holds.
+PINNED_BYTES = (
+    b'{"schema":1,"key":"' + PINNED_KEY.encode() + b'","result":'
+    b'{"policy_name":"OCC-EDF-HP","n_committed":2,"n_missed":1,'
+    b'"total_restarts":3,"makespan":123.456,'
+    b'"cpu_utilization":0.3333333333333333,"disk_utilization":0.0,'
+    b'"mean_plist_size":1e-07,"n_dropped":0,'
+    b'"records":[[0,4,0.1,50.25,49.99999999999999,0],[1,2,2.5,3.0,123.456,3]]}}'
+)
+
+
+class TestEntryBytes:
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        path = ResultCache(tmp_path).put(SimulationConfig(), 7, "OCC", PINNED_RESULT)
+        assert path.name == f"{PINNED_KEY}.json"
+        assert path.read_bytes() == PINNED_BYTES
+
+    def test_put_get_round_trip(self, tmp_path, small_config, result):
+        cache = ResultCache(tmp_path)
+        for seed, stored in ((7, PINNED_RESULT), (3, result)):
+            cache.put(small_config, seed, "CCA", stored)
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(small_config, 7, "CCA") == PINNED_RESULT
+        assert fresh.get(small_config, 3, "CCA") == result
+        assert fresh.counters.hits == 2
 
 
 class TestResultCache:

@@ -9,6 +9,7 @@ from repro.experiments.validation import (
     CheckResult,
     render_report,
     validate_all,
+    validate_ext_occ,
 )
 
 TINY = ExperimentScale("tiny", 2, 2, 0.05)
@@ -48,6 +49,15 @@ class TestValidateAll:
         report = render_report(checks)
         assert "1/2 claims verified" in report
         assert "[FAIL] b: y" in report
+
+
+class TestValidateExtOcc:
+    def test_claims_hold_at_quick_scale(self):
+        """ext-occ's four claims, on the series the sweep executor ran."""
+        checks = validate_ext_occ(ExperimentScale.quick())
+        assert len(checks) == 4
+        assert {check.figure_id for check in checks} == {"ext-occ"}
+        assert all(check.passed for check in checks), "\n".join(map(str, checks))
 
 
 class TestCliValidate:

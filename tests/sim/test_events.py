@@ -21,10 +21,12 @@ class TestEvent:
         with pytest.raises(ValueError):
             Event(-0.1, noop)
 
-    def test_ordering_by_time(self):
+    def test_events_have_no_ordering(self):
+        """The calendar orders entries by (time, sequence); events
+        themselves are never compared."""
         early, late = Event(1.0, noop), Event(2.0, noop)
-        assert early < late
-        assert not late < early
+        with pytest.raises(TypeError):
+            early < late  # noqa: B015
 
     def test_repr_shows_state(self):
         event = Event(1.5, noop, kind="test")
