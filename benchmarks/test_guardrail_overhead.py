@@ -75,8 +75,8 @@ def test_disabled_guardrails_bind_nothing():
     assert RTDBSimulator(CONFIG, workload, policy).max_memory_mb is None
     assert RetryPolicy().memory_mb is None
     assert resolve_fallback(None) is None
-    # The unguarded worker path returns the result itself — no
-    # CellEnvelope indirection unless a FallbackPolicy is active.
+    # The plain cell path returns the result itself — no envelope
+    # indirection.
     outcome = simulate_cell(CONFIG.replace(n_transactions=30), 1, "CCA")
     assert type(outcome).__name__ == "SimulationResult"
 

@@ -22,8 +22,9 @@ from repro.certify.certifier import CertificationResult, certify_events
 from repro.core.simulator import SimulationResult
 from repro.experiments.config import DISK_BASE, MAIN_MEMORY_BASE, ExperimentScale
 from repro.experiments.figures import FIGURE_SWEEPS, experiment_cells
-from repro.experiments.parallel import SweepCell, simulate_cell_traced
+from repro.experiments.parallel import CellOptions, CellOutcome, SweepCell, run_cell
 from repro.obs.registry import MetricsRegistry
+from repro.tracing import EventLog
 
 #: Base configuration behind each sweep-less experiment.
 _TABLE_BASES = {"table1": MAIN_MEMORY_BASE, "table2": DISK_BASE}
@@ -135,23 +136,17 @@ def certify_cell(
     offline re-certification (``repro certify --events``).
     """
     if stream_dir is None:
-        simulation, log, workload = simulate_cell_traced(
-            cell.config, cell.seed, cell.policy, max_wall_s=max_wall_s
-        )
+        log = EventLog()
+        outcome = _traced(cell, max_wall_s, log)
         events = log.events
     else:
         from repro.sim.stream import JsonlSink, iter_jsonl
 
         path = stream_path_for(stream_dir, experiment, cell)
         with JsonlSink(path) as sink:
-            simulation, _, workload = simulate_cell_traced(
-                cell.config,
-                cell.seed,
-                cell.policy,
-                max_wall_s=max_wall_s,
-                sink=sink,
-            )
+            outcome = _traced(cell, max_wall_s, sink)
         events = iter_jsonl(path)
+    simulation, workload = outcome.result, outcome.workload
     result = certify_events(
         events,
         workload,
@@ -161,6 +156,12 @@ def certify_cell(
     return CellCertification(
         experiment=experiment, cell=cell, result=result, simulation=simulation
     )
+
+
+def _traced(cell: SweepCell, max_wall_s: Optional[float], sink) -> CellOutcome:
+    """Run one cell with ``sink`` attached (and closed afterwards)."""
+    options = CellOptions(max_wall_s=max_wall_s, trace=sink)
+    return run_cell(cell.config, cell.seed, (cell.policy,), options)[0].checked()
 
 
 def certify_sample(

@@ -180,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-cell wall-clock budget: parallel workers are abandoned "
-            "after it, and the simulation engine's wall-clock guard "
+            "per-cell wall-clock budget: a parallel task is abandoned "
+            "after it per cell it holds, and the simulation engine's "
+            "wall-clock guard "
             "terminates livelocked cells in any mode (default: none)"
         ),
     )
@@ -874,14 +875,17 @@ def profile_main(argv: Sequence[str]) -> int:
         cell = _select_cell(args.experiment, scale, cells, args.cell)
         if cell is None:
             return 2
-        result, wall_ms, deltas = parallel.simulate_cell_observed(
-            cell.config, cell.seed, cell.policy, profile=prof
-        )
-        registry.merge_snapshot(deltas)
+        options = parallel.CellOptions(observe=True, profile=True)
+        outcome = parallel.run_cell(
+            cell.config, cell.seed, (cell.policy,), options
+        )[0].checked()
+        registry.merge_snapshot(outcome.deltas)
+        prof.extend(outcome.prof_state)
         print(
             f"{args.experiment} cell x={cell.x:g} seed={cell.seed} "
             f"policy={cell.policy} (scale={scale.name}): "
-            f"miss {result.miss_percent:.1f}%, wall {wall_ms:.1f} ms"
+            f"miss {outcome.result.miss_percent:.1f}%, "
+            f"wall {outcome.wall_ms:.1f} ms"
         )
     else:
         # Bypass the result cache: a cache hit records no timing, and a

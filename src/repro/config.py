@@ -15,6 +15,8 @@ then sweep the size up to 1000/600 to relax contention (DESIGN.md §6).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 from typing import Optional, Sequence
 
 
@@ -179,3 +181,16 @@ class SimulationConfig:
             name: list(value) if isinstance(value, (tuple, list)) else value
             for name, value in sorted(raw.items())
         }
+
+    @functools.cached_property
+    def canonical_json(self) -> str:
+        """:meth:`canonical_dict` as compact, key-sorted JSON.
+
+        Computed once per config object (the config is frozen), so the
+        result cache fingerprints a sweep's shared config once rather
+        than once per cell.  Memoized per object, never on equality:
+        ``0.0 == -0.0``, but the two serialize differently.
+        """
+        return json.dumps(
+            self.canonical_dict(), sort_keys=True, separators=(",", ":")
+        )

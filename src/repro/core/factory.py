@@ -1,7 +1,7 @@
 """Engine selection: reference object-graph engine vs array kernel.
 
 Every entry point that used to construct :class:`RTDBSimulator` directly
-(``simulate_cell`` and friends, the experiment runner) now goes through
+(the cell function ``run_cell``, the experiment runner) now goes through
 :func:`make_simulator`, which honours ``SimulationConfig.engine``:
 
 * ``"auto"`` (default) — use the array-oriented

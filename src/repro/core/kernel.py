@@ -50,6 +50,7 @@ import math
 import time as _time
 from heapq import heapify, heappop, heappush
 from operator import add as _add
+from operator import is_ as _is
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.config import SimulationConfig
@@ -219,6 +220,107 @@ class _EncodedOracle:
             )
 
 
+class _WorkloadTables:
+    """The per-workload part of a kernel: spec arrays, op table, masks.
+
+    Every array is indexed by slot (workload order) and depends only on
+    the specs and the database size, never on the policy, so kernels
+    replaying one workload under several policies share one build (see
+    :func:`_workload_tables`).  Kernels only read these arrays.
+
+    The flat operation table has one segment per distinct operations
+    tuple (per type off disk: the generator shares them); slot i's ops
+    live at ``[op_off[i], op_off[i] + n_ops[i])``.  A segment's item
+    check, resource time (``TransactionSpec.resource_time``'s additions,
+    in order) and masks (as ``SpecMasks.from_specs``) are built once,
+    keyed by tuple identity: ``workload`` keeps the tuples alive, and a
+    content hash would cost more than the build it saves.
+    """
+
+    __slots__ = (
+        "workload", "db_size", "tid", "slot_of_tid", "arrival", "deadline",
+        "type_id", "crit", "node_schedule", "program", "op_item",
+        "op_compute", "op_io", "op_write", "op_off", "n_ops",
+        "resource_time", "masks",
+    )
+
+    def __init__(self, workload: tuple[TransactionSpec, ...], db_size: int) -> None:
+        self.workload = workload
+        self.db_size = db_size
+        self.tid = [spec.tid for spec in workload]
+        self.slot_of_tid = {spec.tid: slot for slot, spec in enumerate(workload)}
+        self.arrival = [spec.arrival_time for spec in workload]
+        self.deadline = [spec.deadline for spec in workload]
+        self.type_id = [spec.type_id for spec in workload]
+        self.crit = [float(spec.criticalness) for spec in workload]
+        self.node_schedule = [spec.node_schedule for spec in workload]
+        self.program = [spec.program_name for spec in workload]
+        op_item: list[int] = []
+        op_compute: list[float] = []
+        op_io: list[float] = []
+        op_write: list[bool] = []
+        segments: dict[int, tuple[int, int, float, int, int]] = {}
+        rows = []
+        for spec in workload:
+            key = id(spec.operations)  # repro: allow[DET004] -- lookup-only memo, never iterated
+            row = segments.get(key)
+            if row is None:
+                off = len(op_item)
+                data_mask = write_mask = 0
+                for op in spec.operations:
+                    if not 0 <= op.item < db_size:
+                        raise KeyError(
+                            f"transaction {spec.tid} updates item {op.item}, "
+                            f"outside the database of size {db_size}"
+                        )
+                    bit = 1 << op.item
+                    data_mask |= bit
+                    if op.is_write:
+                        write_mask |= bit
+                    op_item.append(op.item)
+                    op_compute.append(op.compute_time)
+                    op_io.append(op.io_time)
+                    op_write.append(op.is_write)
+                resource_time = sum(map(_add, op_compute[off:], op_io[off:]))
+                row = segments[key] = (
+                    off, len(op_item) - off, resource_time, data_mask, write_mask
+                )
+            rows.append(row)
+        self.op_item, self.op_compute, self.op_io, self.op_write = (
+            op_item, op_compute, op_io, op_write
+        )
+        self.op_off, self.n_ops, self.resource_time, data_masks, write_masks = map(
+            list, zip(*rows)
+        )
+        self.masks = SpecMasks(data_masks, write_masks, max(1, (db_size + 63) // 64))
+
+    def serves(self, workload: tuple[TransactionSpec, ...], db_size: int) -> bool:
+        """Whether these tables were built from exactly these specs
+        (the same objects; specs are frozen) at this database size."""
+        return (
+            db_size == self.db_size
+            and len(workload) == len(self.workload)
+            and all(map(_is, workload, self.workload))
+        )
+
+
+#: The most recent build: a sweep task replays one workload under each
+#: of its policies in turn, so one entry is all the reuse there is.
+_last_tables: Optional[_WorkloadTables] = None
+
+
+def _workload_tables(
+    workload: tuple[TransactionSpec, ...], db_size: int
+) -> _WorkloadTables:
+    """The :class:`_WorkloadTables` of ``workload``, built at most once
+    for consecutive kernels on the same specs."""
+    global _last_tables
+    tables = _last_tables
+    if tables is None or not tables.serves(workload, db_size):
+        tables = _last_tables = _WorkloadTables(workload, db_size)
+    return tables
+
+
 class KernelSimulator:
     """Array-oriented drop-in for :class:`RTDBSimulator`.
 
@@ -328,69 +430,32 @@ class KernelSimulator:
 
         n = len(self.workload)
         self._n = n
-        # -- immutable spec arrays, indexed by slot (workload order) --------
-        self._tid = [spec.tid for spec in self.workload]
-        self._slot_of_tid = {spec.tid: slot for slot, spec in enumerate(self.workload)}
-        self._arrival = [spec.arrival_time for spec in self.workload]
-        self._deadline = [spec.deadline for spec in self.workload]
-        self._type_id = [spec.type_id for spec in self.workload]
-        self._crit = [float(spec.criticalness) for spec in self.workload]
-        self._node_schedule = [spec.node_schedule for spec in self.workload]
-        self._program = [spec.program_name for spec in self.workload]
-        # Flat operation table, one segment per distinct operations tuple
-        # (per type off disk: the generator shares them); slot i's ops live
-        # at [op_off[i], op_off[i] + n_ops[i]).  A segment's item check,
-        # resource time (TransactionSpec.resource_time's additions, in
-        # order) and masks (as SpecMasks.from_specs) are built once, keyed
-        # by tuple identity: self.workload keeps the tuples alive, and a
-        # content hash would cost more than the build it saves.
-        db = config.db_size
-        op_item: list[int] = []
-        op_compute: list[float] = []
-        op_io: list[float] = []
-        op_write: list[bool] = []
-        segments: dict[int, tuple[int, int, float, int, int]] = {}
-        rows = []
-        for spec in self.workload:
-            key = id(spec.operations)  # repro: allow[DET004] -- lookup-only memo, never iterated
-            row = segments.get(key)
-            if row is None:
-                off = len(op_item)
-                data_mask = write_mask = 0
-                for op in spec.operations:
-                    if not 0 <= op.item < db:
-                        raise KeyError(
-                            f"transaction {spec.tid} updates item {op.item}, "
-                            f"outside the database of size {db}"
-                        )
-                    bit = 1 << op.item
-                    data_mask |= bit
-                    if op.is_write:
-                        write_mask |= bit
-                    op_item.append(op.item)
-                    op_compute.append(op.compute_time)
-                    op_io.append(op.io_time)
-                    op_write.append(op.is_write)
-                resource_time = sum(map(_add, op_compute[off:], op_io[off:]))
-                row = segments[key] = (
-                    off, len(op_item) - off, resource_time, data_mask, write_mask
-                )
-            rows.append(row)
-        self._op_item, self._op_compute, self._op_io, self._op_write = (
-            op_item, op_compute, op_io, op_write
+        # -- immutable per-workload tables (shared, see _WorkloadTables) ----
+        tables = _workload_tables(self.workload, config.db_size)
+        self._tid = tables.tid
+        self._slot_of_tid = tables.slot_of_tid
+        self._arrival = tables.arrival
+        self._deadline = tables.deadline
+        self._type_id = tables.type_id
+        self._crit = tables.crit
+        self._node_schedule = tables.node_schedule
+        self._program = tables.program
+        self._op_item = tables.op_item
+        self._op_compute = tables.op_compute
+        self._op_io = tables.op_io
+        self._op_write = tables.op_write
+        self._op_off = tables.op_off
+        self._n_ops = tables.n_ops
+        self._resource_time = tables.resource_time
+        self._masks = tables.masks
+        # Observe the lazy conflict-slot materialization without changing
+        # when it happens.  The masks are shared, so the hook belongs to
+        # the most recently built kernel (None clears a previous one's).
+        self._masks.on_build = (
+            self._on_mask_build
+            if profile is not None or (introspect and metrics is not None)
+            else None
         )
-        self._op_off, self._n_ops, self._resource_time, data_masks, write_masks = map(
-            list, zip(*rows)
-        )
-
-        # -- static conflict masks ------------------------------------------
-        self._masks = SpecMasks(
-            data_masks, write_masks, max(1, (config.db_size + 63) // 64)
-        )
-        if profile is not None or (introspect and metrics is not None):
-            # Observe the lazy conflict-slot materialization without
-            # changing when it happens.
-            self._masks.on_build = self._on_mask_build
 
         # -- tree-oracle state ids ------------------------------------------
         if self._o.table is not None:
@@ -419,6 +484,7 @@ class KernelSimulator:
         self._aw_mask = [0] * n
 
         # -- lock table ------------------------------------------------------
+        db = config.db_size
         self._holders: list[dict[int, None]] = [dict() for _ in range(db)]
         self._excl = bytearray(db)
         self._held_mask = [0] * n

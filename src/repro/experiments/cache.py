@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import tempfile
 from pathlib import Path
@@ -60,15 +61,13 @@ def cache_key(
     """
     if schema_version is None:
         schema_version = SCHEMA_VERSION
-    payload = json.dumps(
-        {
-            "config": config.canonical_dict(),
-            "seed": seed,
-            "policy": policy_name,
-            "schema": schema_version,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    # The compact, key-sorted JSON of {"config", "policy", "schema",
+    # "seed"}, spliced around the config's memoized canonical JSON.
+    payload = (
+        f'{{"config":{config.canonical_json},'
+        f'"policy":{json.dumps(policy_name)},'
+        f'"schema":{json.dumps(schema_version)},'
+        f'"seed":{json.dumps(seed)}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -78,6 +77,7 @@ def cache_key(
 # ---------------------------------------------------------------------------
 
 _RECORD_FIELDS = ("tid", "type_id", "arrival_time", "deadline", "commit_time", "restarts")
+_record_row = operator.attrgetter(*_RECORD_FIELDS)
 
 
 def result_to_dict(result: SimulationResult) -> dict:
@@ -98,10 +98,7 @@ def result_to_dict(result: SimulationResult) -> dict:
         "disk_utilization": result.disk_utilization,
         "mean_plist_size": result.mean_plist_size,
         "n_dropped": result.n_dropped,
-        "records": [
-            [getattr(record, field) for field in _RECORD_FIELDS]
-            for record in result.records
-        ],
+        "records": [list(_record_row(record)) for record in result.records],
     }
 
 
@@ -174,10 +171,20 @@ class ResultCache:
     # -- lookup / store ----------------------------------------------------
 
     def get(
-        self, config: SimulationConfig, seed: int, policy_name: str
+        self,
+        config: SimulationConfig,
+        seed: int,
+        policy_name: str,
+        key: Optional[str] = None,
     ) -> Optional[SimulationResult]:
-        """The cached result for a cell, or ``None`` (a miss)."""
-        key = cache_key(config, seed, policy_name)
+        """The cached result for a cell, or ``None`` (a miss).
+
+        ``key``, when given, must be the cell's :func:`cache_key`; a
+        caller that looks a cell up and later stores it computes the
+        key once and passes it to both calls.
+        """
+        if key is None:
+            key = cache_key(config, seed, policy_name)
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -203,9 +210,12 @@ class ResultCache:
         seed: int,
         policy_name: str,
         result: SimulationResult,
+        key: Optional[str] = None,
     ) -> Path:
-        """Store a cell's result atomically; returns the entry path."""
-        key = cache_key(config, seed, policy_name)
+        """Store a cell's result atomically; returns the entry path
+        (``key`` as in :meth:`get`)."""
+        if key is None:
+            key = cache_key(config, seed, policy_name)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
@@ -243,6 +253,7 @@ class ResultCache:
         seed: int,
         policy_name: str,
         result: SimulationResult,
+        key: Optional[str] = None,
     ) -> Optional[Path]:
         """Best-effort :meth:`put`: write errors degrade, never raise.
 
@@ -256,7 +267,7 @@ class ResultCache:
         if self.write_disabled:
             return None
         try:
-            return self.put(config, seed, policy_name, result)
+            return self.put(config, seed, policy_name, result, key)
         except OSError:
             self.counters.put_errors += 1
             self.write_disabled = True

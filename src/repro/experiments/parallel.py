@@ -2,22 +2,24 @@
 merging.
 
 A *cell* is the atomic unit of every paper experiment: simulate one
-configuration for one seed under one policy.  Cells are independent —
-workloads are regenerated deterministically from ``(config, seed)`` in
-each worker, so replaying the same seed under several policies in
-different processes still compares *paired* workloads, exactly as the
-serial runner does.
+configuration for one seed under one policy.  The unit of *work* is a
+workload: :func:`run_cell`, the one cell function, generates the
+``(config, seed)`` workload once and replays it under each of its
+labels — the paper's paired comparison — and every cell's result is a
+pure function of ``(config, seed, policy)`` wherever it runs.
 
-:func:`execute_cells` fans cells out over a ``ProcessPoolExecutor``
-(``jobs`` workers), consults an optional
-:class:`~repro.experiments.cache.ResultCache` first, and merges results
+:func:`execute_cells` consults an optional
+:class:`~repro.experiments.cache.ResultCache` per cell first, then runs
+one task per ``(config, seed)`` over its uncached cells, fanned out
+over a ``ProcessPoolExecutor`` (``jobs`` workers), and merges results
 **ordered by cell key, never by completion order** — so for the same
 seeds, ``jobs=N`` output is identical to serial output, and the trace
 event stream is deterministic too.  The parity tests in
 ``tests/experiments/test_parallel.py`` hold this as an invariant.
 
-Failure isolation (see docs/ROBUSTNESS.md): a worker exception becomes
-a structured :class:`CellFailure` instead of aborting the sweep.  The
+Failure isolation (see docs/ROBUSTNESS.md) stays per cell: a cell's
+exception becomes a structured :class:`CellFailure` of that cell alone
+instead of aborting the sweep or its task.  The
 :class:`RetryPolicy` chooses what happens next — ``fail`` (abort with a
 :class:`SweepError`, completed cells already flushed to the cache),
 ``retry`` (bounded re-attempts with exponential backoff), or ``skip``
@@ -25,8 +27,8 @@ a structured :class:`CellFailure` instead of aborting the sweep.  The
 ``jobs``).  Per-cell timeouts, worker payload validation, automatic
 pool rebuilds on ``BrokenProcessPool`` (degrading to serial execution
 when the pool keeps breaking), and incremental checkpointing — each
-completed cell is flushed to the cache the moment it finishes, even if
-the sweep is later interrupted — make long sweeps restartable: re-run
+completed cell is flushed to the cache as it merges, even if the
+sweep is later interrupted — make long sweeps restartable: re-run
 the same command and only missing cells are recomputed.
 
 Module-level *execution defaults* (:func:`configure` / the
@@ -42,7 +44,7 @@ import dataclasses
 import os
 import re
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
@@ -54,12 +56,17 @@ from repro.core.policy import make_policy
 from repro.core.simulator import SimulationResult
 from repro.experiments import faults
 from repro.experiments.cache import ResultCache, cache_key
-from repro.experiments.quarantine import CellEnvelope, FallbackPolicy, run_cell_guarded
+from repro.experiments.quarantine import (
+    FallbackPolicy,
+    kernel_eligible,
+    quarantine_failure,
+)
 from repro.mp.simulator import MultiprocessorSimulator
 from repro.obs.prof import SpanProfiler, observe_stage
 from repro.obs.registry import MetricsRegistry
 from repro.occ.simulator import OCCSimulator
 from repro.rtdb.transaction import TransactionSpec
+from repro.sim.engine import BudgetExceeded
 from repro.workload.generator import generate_workload
 
 TraceHook = Callable[..., None]
@@ -179,10 +186,10 @@ class RetryPolicy:
         invariant over the surviving cells.
 
     ``timeout`` bounds each cell's wall clock twice over: the parent
-    waits at most ``timeout`` seconds per pool future, and workers run
-    their simulation engine with ``max_wall_s=timeout`` so a livelocked
-    cell kills itself even in serial mode.  ``memory_mb`` bounds each
-    worker's resident memory via the engine's in-process guard
+    waits at most ``timeout`` seconds per cell of a pool task, and
+    workers run each cell's engine with ``max_wall_s=timeout`` so a
+    livelocked cell kills itself even in serial mode.  ``memory_mb``
+    bounds each worker's resident memory via the engine's in-process guard
     (:class:`~repro.sim.engine.MemoryBudgetExceeded`) — a cell that
     would OOM fails with a partial-progress record instead of taking
     its process down.
@@ -344,6 +351,226 @@ def cell_engine(label: str) -> CellEngine:
     return next(engine for matches, engine in CELL_ENGINES if matches(label))
 
 
+@dataclasses.dataclass(frozen=True)
+class CellOptions:
+    """What :func:`run_cell` attaches to each label's engine.
+
+    ``max_wall_s``/``max_memory_mb`` are each engine run's budgets.
+    ``trace`` is a trace sink (an :class:`~repro.tracing.EventLog`, a
+    :class:`~repro.sim.stream.JsonlSink`, ...) for in-process, one-label
+    calls; it is closed once the call returns, so a spilled stream is
+    complete.  ``observe`` gives each label a private metrics registry
+    (kernel introspection, stage timings) and ``profile`` a span
+    profiler, both shipped back in the outcome.  ``fallback`` heals
+    kernel failures of locking labels onto the reference engine (see
+    :mod:`repro.experiments.quarantine`).
+    """
+
+    max_wall_s: Optional[float] = None
+    max_memory_mb: Optional[float] = None
+    trace: Optional[TraceHook] = None
+    observe: bool = False
+    profile: bool = False
+    fallback: Optional[FallbackPolicy] = None
+
+
+@dataclasses.dataclass
+class CellOutcome:
+    """One label's outcome of a :func:`run_cell` call.
+
+    ``result`` is the :class:`SimulationResult` (or the payload an
+    injected ``corrupt`` fault puts in its place), ``error`` what the
+    label raised instead.  ``wall_ms`` times the engine build and run
+    (plus the workload generation, for the label that records it).
+    ``deltas`` is the label's registry snapshot (``observe``),
+    ``prof_state`` its :meth:`SpanProfiler.export_state` (``profile``),
+    ``fallback`` the ``engine_fallback`` record of a healed label (minus
+    the cell coordinates the executor adds), and ``workload`` the specs
+    a traced label ran on.
+    """
+
+    result: Any = None
+    error: Optional[BaseException] = None
+    wall_ms: float = 0.0
+    deltas: Optional[dict] = None
+    prof_state: Optional[dict] = None
+    fallback: Optional[dict] = None
+    workload: Optional[Workload] = None
+
+    def checked(self) -> "CellOutcome":
+        """This outcome, or the label's error raised."""
+        if self.error is not None:
+            raise self.error
+        return self
+
+
+def run_cell(
+    config: SimulationConfig,
+    seed: int,
+    labels: Sequence[str],
+    options: CellOptions = CellOptions(),
+    attempts: Optional[Sequence[int]] = None,
+) -> list[CellOutcome]:
+    """Generate the ``(config, seed)`` workload once and run each label on it.
+
+    The one cell function: sweep tasks (one per ``(config, seed)``),
+    :func:`simulate_cell`, the certifier and ``repro profile --cell``
+    all run through it.  Deterministic in its arguments — the workload
+    is generated from ``(config, seed)`` and the engines draw no further
+    randomness — so a label's result is the same in any process and in
+    any company; one workload replayed under several policies is the
+    paper's paired comparison.  Each label picks its engine
+    (:func:`cell_engine`); consecutive kernels share the workload's
+    tables.
+
+    Returns one :class:`CellOutcome` per label, in order.  A label's
+    exception is caught into its outcome and never stops the others; a
+    ``KeyboardInterrupt`` is caught too but ends the call, as the last
+    outcome.  Observed and profiled calls record the workload generation
+    once, with the first label.  ``attempts`` (the executor's attempt
+    number per label) turns on the active fault plan
+    (:mod:`repro.experiments.faults`): each label's scheduled fault
+    fires just before it runs.
+    """
+    if options.trace is not None and len(labels) != 1:
+        raise ValueError("a trace sink records exactly one label")
+    outcomes: list[CellOutcome] = []
+    try:
+        started = time.perf_counter()
+        try:
+            # Looked up at call time: instrumentation may rebind the name.
+            workload = generate_workload(config, seed)
+        except Exception as exc:
+            return [CellOutcome(error=exc) for _ in labels]
+        generated: Optional[tuple[float, float]] = (started, time.perf_counter())
+        plan = faults.active_plan() if attempts is not None else None
+        for index, label in enumerate(labels):
+            attempt = attempts[index] if attempts is not None else None
+            try:
+                outcome = _run_label(
+                    config, seed, label, workload, options, plan, attempt, generated
+                )
+            except Exception as exc:
+                outcome = CellOutcome(error=exc)
+            except KeyboardInterrupt as exc:
+                outcomes.append(CellOutcome(error=exc))
+                break
+            outcomes.append(outcome)
+            generated = None
+        if options.trace is not None and outcomes[0].error is None:
+            outcomes[0].workload = workload
+        return outcomes
+    finally:
+        close = getattr(options.trace, "close", None)
+        if close is not None:
+            close()
+
+
+def _run_label(
+    config: SimulationConfig,
+    seed: int,
+    label: str,
+    workload: Workload,
+    options: CellOptions,
+    plan: Optional[faults.FaultPlan],
+    attempt: Optional[int],
+    generated: Optional[tuple[float, float]],
+) -> CellOutcome:
+    """One label of :func:`run_cell`: its scheduled fault, then the run.
+
+    A locking label under ``options.fallback`` runs inside the healing
+    scope: there the ``kernel`` fault fires as a stand-in for an engine
+    defect, and a failed kernel run is quarantined and re-run on the
+    sanitized reference engine (both engines are bit-identical).  Other
+    faults model *worker* failures and fire outside the scope.  Budget
+    aborts never heal: a budget blown on the fast engine is blown worse
+    on the slow one, so they keep their partial-progress record.
+    """
+    key = scheduled = None
+    if plan is not None:
+        key = cache_key(config, seed, label)
+        scheduled = plan.decide(key, attempt)
+    guarded = options.fallback is not None and cell_engine(label).locking
+    if scheduled is not None and not (guarded and scheduled == "kernel"):
+        injected = faults.maybe_inject(key, attempt)
+        if injected is not None:
+            return CellOutcome(result=injected)  # CORRUPT_PAYLOAD, for validation
+    if not guarded:
+        return _simulate_label(config, seed, label, workload, options, generated)
+    try:
+        if scheduled == "kernel":
+            faults.inject_kernel_fault(key, attempt)
+        return _simulate_label(config, seed, label, workload, options, generated)
+    except (BudgetExceeded, MemoryError):
+        raise
+    except Exception as exc:
+        if not kernel_eligible(config):
+            raise
+        record = quarantine_failure(
+            config, seed, label, attempt, exc,
+            max_wall_s=options.max_wall_s,
+            max_memory_mb=options.max_memory_mb,
+            fallback=options.fallback,
+        )
+        healed = config.replace(engine="reference", sanitize=True)
+        outcome = _simulate_label(healed, seed, label, workload, options, generated)
+        outcome.fallback = record
+        return outcome
+
+
+def _simulate_label(
+    config: SimulationConfig,
+    seed: int,
+    label: str,
+    workload: Workload,
+    options: CellOptions,
+    generated: Optional[tuple[float, float]],
+) -> CellOutcome:
+    """Build and run one label's engine on ``workload``, observed as
+    ``options`` asks: the engine that actually ran is tallied under
+    ``sweep.engine{engine=...}``, and the ``build`` and ``event_loop``
+    stages (plus ``workload_gen``, when ``generated`` holds its
+    interval) are timed.  Only locking engines take the registry (with
+    ``kernel.*`` introspection) and the profiler."""
+    engine = cell_engine(label)
+    registry = MetricsRegistry() if options.observe else None
+    prof = SpanProfiler() if options.profile else None
+    kwargs: dict = {
+        "trace": options.trace,
+        "max_wall_s": options.max_wall_s,
+        "max_memory_mb": options.max_memory_mb,
+    }
+    if engine.locking and (registry is not None or prof is not None):
+        kwargs.update(metrics=registry, profile=prof, introspect=True)
+    started = time.perf_counter()
+    simulator = engine.build(config, workload, label, **kwargs)
+    built = time.perf_counter()
+    result = simulator.run()
+    finished = time.perf_counter()
+    first = generated[0] if generated is not None else started
+    outcome = CellOutcome(result=result, wall_ms=(finished - first) * 1000.0)
+    if registry is None and prof is None:
+        return outcome
+    ran = engine.family
+    if engine.locking:
+        ran = "kernel" if isinstance(simulator, KernelSimulator) else "reference"
+    if registry is not None:
+        if generated is not None:
+            observe_stage(registry, "workload_gen", (generated[1] - generated[0]) * 1000.0)
+        observe_stage(registry, "build", (built - started) * 1000.0)
+        observe_stage(registry, "event_loop", (finished - built) * 1000.0)
+        registry.counter("sweep.engine", engine=ran).inc()
+        outcome.deltas = registry.snapshot()
+    if prof is not None:
+        if generated is not None:
+            prof.add_span("cell.workload_gen", "stage", *generated, {"n": len(workload)})
+        cell_args = {"policy": label, "seed": seed, "engine": ran}
+        prof.add_span("cell.build", "stage", started, built, cell_args)
+        prof.add_span("cell.event_loop", "stage", built, finished, cell_args)
+        outcome.prof_state = prof.export_state()
+    return outcome
+
+
 def simulate_cell(
     config: SimulationConfig,
     seed: int,
@@ -352,248 +579,26 @@ def simulate_cell(
     max_wall_s: Optional[float] = None,
     max_memory_mb: Optional[float] = None,
 ) -> SimulationResult:
-    """Run one cell from scratch — the worker-process entry point.
+    """One cell's result: :func:`run_cell` for a single label.
 
-    Deterministic in its arguments: the workload is generated from
-    ``(config, seed)`` and the simulator draws no further randomness,
-    so the same cell yields the same result in any process.
     ``policy_name`` is the cell label, which picks the engine
-    (:func:`cell_engine`).  ``max_wall_s`` (when set) bounds the
-    simulation's real run time via the engine's wall-clock guard;
-    ``max_memory_mb`` bounds resident memory the same way.
+    (:func:`cell_engine`); ``max_wall_s``/``max_memory_mb`` bound the
+    engine run (:class:`CellOptions`).  Raises what the cell raised.
     """
-    workload = generate_workload(config, seed)
-    return cell_engine(policy_name).build(
-        config,
-        workload,
-        policy_name,
-        max_wall_s=max_wall_s,
-        max_memory_mb=max_memory_mb,
-    ).run()
+    options = CellOptions(max_wall_s=max_wall_s, max_memory_mb=max_memory_mb)
+    return run_cell(config, seed, (policy_name,), options)[0].checked().result
 
 
-def simulate_cell_traced(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    *,
-    max_wall_s: Optional[float] = None,
-    max_memory_mb: Optional[float] = None,
-    sink: Optional[TraceHook] = None,
-):
-    """Run one cell with a full :class:`~repro.tracing.EventLog` attached.
-
-    Returns ``(result, log, workload)`` — everything offline analyses
-    (``repro trace``, ``repro certify``) need: the aggregate outcome,
-    the complete event stream, and the exact specs it was generated
-    from.  Same determinism contract as :func:`simulate_cell`.
-
-    ``sink`` substitutes a streaming trace sink (a
-    :class:`~repro.sim.stream.JsonlSink` spilling to disk, a bounded
-    :class:`~repro.sim.stream.RingSink`) for the in-memory log; the
-    returned middle element is then that sink.  Whatever was attached
-    is closed before returning, so a spilled stream is complete and
-    flushed when the caller iterates it.
-    """
-    from repro.tracing import EventLog
-
-    workload = generate_workload(config, seed)
-    log = sink if sink is not None else EventLog()
-    try:
-        result = cell_engine(policy_name).build(
-            config,
-            workload,
-            policy_name,
-            trace=log,
-            max_wall_s=max_wall_s,
-            max_memory_mb=max_memory_mb,
-        ).run()
-    finally:
-        close = getattr(log, "close", None)
-        if close is not None:
-            close()
-    return result, log, workload
-
-
-def simulate_cell_observed(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    *,
-    max_wall_s: Optional[float] = None,
-    max_memory_mb: Optional[float] = None,
-    profile: Optional[SpanProfiler] = None,
-) -> tuple[SimulationResult, float, dict]:
-    """Run one cell with a private metrics registry attached.
-
-    Returns ``(result, wall_ms, counter_deltas)`` where
-    ``counter_deltas`` is the cell's registry snapshot — the per-cell
-    delta a worker process ships back for the parent to merge.  Apart
-    from wall time (the ``prof.stage_ms`` stage histograms and the
-    cell's own wall clock) the deltas are deterministic in the cell
-    (simulated time only), which is what makes parallel manifest
-    counters equal serial ones.
-
-    Observed cells run with kernel introspection on (``kernel.*``
-    counters — fusion spans, penalty-scan modes, CCA prunes; see
-    docs/OBSERVABILITY.md) and tally which engine actually ran under
-    ``sweep.engine{engine=...}``.  Both are deterministic.  OCC and
-    multiprocessor cells take no registry: they ship the engine tally
-    and stage timings only.
-
-    ``profile`` optionally attaches a :class:`SpanProfiler`: the stage
-    intervals become spans and the engine records its internal phases
-    into the same recording (:func:`simulate_cell_profiled` is the
-    worker-facing wrapper that ships the recording back).
-    """
-    registry = MetricsRegistry()
-    engine = cell_engine(policy_name)
-    started = time.perf_counter()
-    workload = generate_workload(config, seed)
-    generated = time.perf_counter()
-    observe_stage(registry, "workload_gen", (generated - started) * 1000.0)
-    options: dict = {"max_wall_s": max_wall_s, "max_memory_mb": max_memory_mb}
-    if engine.locking:
-        options.update(metrics=registry, profile=profile, introspect=True)
-    simulator = engine.build(config, workload, policy_name, **options)
-    built = time.perf_counter()
-    observe_stage(registry, "build", (built - generated) * 1000.0)
-    ran = engine.family
-    if engine.locking:
-        ran = "kernel" if isinstance(simulator, KernelSimulator) else "reference"
-    registry.counter("sweep.engine", engine=ran).inc()
-    result = simulator.run()
-    finished = time.perf_counter()
-    observe_stage(registry, "event_loop", (finished - built) * 1000.0)
-    if profile is not None:
-        cell_args = {"policy": policy_name, "seed": seed, "engine": ran}
-        profile.add_span(
-            "cell.workload_gen", "stage", started, generated, {"n": len(workload)}
+def _validate_outcome(cell: SweepCell, outcome) -> CellOutcome:
+    """Raise a cell's error, or reject a corrupt payload (wrong shape,
+    wrong cell) with :class:`CorruptResultError`; the retry machinery
+    treats both like any other per-cell failure."""
+    result = outcome.checked().result if isinstance(outcome, CellOutcome) else outcome
+    if not isinstance(outcome, CellOutcome) or not isinstance(result, SimulationResult):
+        raise CorruptResultError(
+            f"cell {cell.key}: payload is {type(result).__name__}, "
+            f"not a SimulationResult"
         )
-        profile.add_span("cell.build", "stage", generated, built, cell_args)
-        profile.add_span("cell.event_loop", "stage", built, finished, cell_args)
-    return result, (finished - started) * 1000.0, registry.snapshot()
-
-
-def simulate_cell_profiled(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    *,
-    max_wall_s: Optional[float] = None,
-    max_memory_mb: Optional[float] = None,
-) -> tuple[SimulationResult, float, dict, dict]:
-    """Run one cell observed *and* span-profiled.
-
-    Returns ``(result, wall_ms, counter_deltas, prof_state)`` — the
-    observed payload plus this worker's profiler recording
-    (:meth:`SpanProfiler.export_state`), which the parent folds into
-    its own profiler in cell-key order.
-    """
-    prof = SpanProfiler()
-    result, wall_ms, deltas = simulate_cell_observed(
-        config,
-        seed,
-        policy_name,
-        max_wall_s=max_wall_s,
-        max_memory_mb=max_memory_mb,
-        profile=prof,
-    )
-    return result, wall_ms, deltas, prof.export_state()
-
-
-def _worker_entry(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    attempt: int,
-    observed: bool,
-    profiled: bool,
-    max_wall_s: Optional[float],
-    max_memory_mb: Optional[float] = None,
-    fallback: Optional[FallbackPolicy] = None,
-):
-    """Pool/serial worker entry: fault injection, then the simulation.
-
-    With ``fallback`` set, locking cells run through the guarded runner
-    (kernel failures heal onto the reference engine, wrapped in a
-    :class:`CellEnvelope`); OCC and multiprocessor cells have no second
-    engine to heal onto, so they run unguarded.  The default path is
-    untouched — one ``is not None`` check.
-    """
-    if fallback is not None and cell_engine(policy_name).locking:
-        return run_cell_guarded(
-            config,
-            seed,
-            policy_name,
-            attempt,
-            observed=observed,
-            profiled=profiled,
-            max_wall_s=max_wall_s,
-            max_memory_mb=max_memory_mb,
-            fallback=fallback,
-        )
-    if faults.active_plan() is not None:
-        injected = faults.maybe_inject(cache_key(config, seed, policy_name), attempt)
-        if injected is not None:
-            return injected  # CORRUPT_PAYLOAD passes through as-is
-    if profiled:
-        return simulate_cell_profiled(
-            config, seed, policy_name,
-            max_wall_s=max_wall_s, max_memory_mb=max_memory_mb,
-        )
-    if observed:
-        return simulate_cell_observed(
-            config, seed, policy_name,
-            max_wall_s=max_wall_s, max_memory_mb=max_memory_mb,
-        )
-    return simulate_cell(
-        config, seed, policy_name,
-        max_wall_s=max_wall_s, max_memory_mb=max_memory_mb,
-    )
-
-
-def _unwrap(raw) -> tuple[object, Optional[dict]]:
-    """Split a worker payload into (outcome, fallback record).
-
-    Guarded workers ship :class:`CellEnvelope`; plain workers ship the
-    bare outcome.  Anything else — including a corrupt payload inside
-    an envelope — flows on to ``_validate_outcome`` unchanged.
-    """
-    if isinstance(raw, CellEnvelope):
-        return raw.outcome, raw.fallback
-    return raw, None
-
-
-def _validate_outcome(cell: SweepCell, outcome, observed: bool, profiled: bool):
-    """Reject corrupt worker payloads (wrong shape, wrong cell).
-
-    Raises :class:`CorruptResultError`, which the retry machinery treats
-    like any other per-cell failure.
-    """
-    if observed or profiled:
-        width = 4 if profiled else 3
-        if (
-            not isinstance(outcome, tuple)
-            or len(outcome) != width
-            or not isinstance(outcome[0], SimulationResult)
-            or not isinstance(outcome[1], (int, float))
-            or not isinstance(outcome[2], dict)
-            or (profiled and not isinstance(outcome[3], dict))
-        ):
-            raise CorruptResultError(
-                f"cell {cell.key}: malformed "
-                f"{'profiled' if profiled else 'observed'} payload "
-                f"({type(outcome).__name__})"
-            )
-        result = outcome[0]
-    else:
-        if not isinstance(outcome, SimulationResult):
-            raise CorruptResultError(
-                f"cell {cell.key}: payload is {type(outcome).__name__}, "
-                f"not a SimulationResult"
-            )
-        result = outcome
     expected = cell_engine(cell.policy).result_name(cell.policy)
     if result.policy_name != expected:
         raise CorruptResultError(
@@ -796,15 +801,29 @@ def take_fallbacks() -> list[dict]:
 # The executor
 # ---------------------------------------------------------------------------
 
+#: A cell of a timed-out group, to run alone next round (uncharged).
+_SPLIT = object()
+
+
 class _SweepRunner:
     """Round-based execution of one sweep's pending (uncached) cells.
 
-    Each round runs every unresolved cell once — in a process pool or
-    serially — merging successes *in cell-key order within the round*
-    and recording failures.  Cells with attempts left go to the next
-    round (after backoff); the round structure is identical at any
-    ``jobs`` count, so metric merge order, the surviving-cell set, and
-    the retry schedule are all process-count-independent.
+    Each round groups the unresolved cells by workload — ``(config,
+    seed)`` — and runs one task per group: :func:`run_cell` over the
+    group's labels, in a process pool or in-process.  The runner walks
+    the round's cells in cell-key order, waiting for (or, serially,
+    running) a cell's task when it first needs it, and merges each
+    cell's outcome on its own: successes *in cell-key order*, failures
+    recorded per cell.  Cells with attempts left go to the next round
+    (after backoff), regrouped.  Grouping, merge order, the
+    surviving-cell set, and the retry schedule are the same at any
+    ``jobs`` count.
+
+    The parent waits ``timeout`` per cell of a task.  It cannot see
+    inside a task that overran that, so a timed-out task of several
+    cells is split without charging them: each of its cells runs alone
+    in the next round at the same attempt, where a timeout is the
+    cell's own.
     """
 
     def __init__(
@@ -818,6 +837,7 @@ class _SweepRunner:
         stats: SweepStats,
         profile: Optional[SpanProfiler] = None,
         fallback: Optional[FallbackPolicy] = None,
+        keys: Optional[Mapping[CellKey, str]] = None,
     ) -> None:
         self.pending = list(pending)
         self.jobs = jobs
@@ -827,13 +847,21 @@ class _SweepRunner:
         self.retry = retry
         self.stats = stats
         self.profile = profile
-        self.fallback = fallback
-        self.profiled = profile is not None
-        self.observed = metrics is not None
+        self.options = CellOptions(
+            max_wall_s=retry.timeout,
+            max_memory_mb=retry.memory_mb,
+            observe=metrics is not None,
+            profile=profile is not None,
+            fallback=fallback,
+        )
+        self.keys = keys if keys is not None else {}
+        """Cell key -> cache key, computed once at lookup."""
         self.results: dict[CellKey, SimulationResult] = {}
         self.attempts: dict[CellKey, int] = {cell.key: 0 for cell in pending}
         self.failures: dict[CellKey, CellFailure] = {}
         self.terminal: dict[CellKey, CellFailure] = {}
+        self.alone: set[CellKey] = set()
+        """Cells split out of a timed-out task; they run in tasks of one."""
         self.use_pool = jobs > 1
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_tainted = False
@@ -849,10 +877,7 @@ class _SweepRunner:
                     delay = self.retry.backoff(round_index)
                     if delay > 0:
                         time.sleep(delay)
-                if self.use_pool and len(unresolved) > 1:
-                    unresolved = self._pool_round(unresolved)
-                else:
-                    unresolved = self._serial_round(unresolved)
+                unresolved = self._round(unresolved)
                 round_index += 1
         finally:
             self._teardown_pool(cancel=True)
@@ -863,93 +888,68 @@ class _SweepRunner:
 
     # -- rounds ------------------------------------------------------------
 
-    def _serial_round(self, cells: Sequence[SweepCell]) -> list[SweepCell]:
-        retry_next: list[SweepCell] = []
+    def _groups(self, cells: Sequence[SweepCell]) -> list[list[SweepCell]]:
+        """The round's tasks: cells sharing a workload, in key order,
+        ordered by their first cell.  Configs group by their canonical
+        JSON (what the cache keys them by), so equal-but-distinct config
+        objects share a task."""
+        groups: dict[tuple, list[SweepCell]] = {}
         for cell in cells:
-            self.attempts[cell.key] += 1
-            try:
-                raw = _worker_entry(
-                    cell.config,
-                    cell.seed,
-                    cell.policy,
-                    self.attempts[cell.key],
-                    self.observed,
-                    self.profiled,
-                    self.retry.timeout,
-                    self.retry.memory_mb,
-                    self.fallback,
-                )
-                outcome, fb_record = _unwrap(raw)
-                outcome = _validate_outcome(
-                    cell, outcome, self.observed, self.profiled
-                )
-            except Exception as exc:
-                self._attempt_failed(cell, exc, retry_next)
-            else:
-                self._complete(cell, outcome, fb_record)
-        return retry_next
+            task = (
+                cell.key
+                if cell.key in self.alone
+                else (cell.config.canonical_json, cell.seed)
+            )
+            groups.setdefault(task, []).append(cell)
+        return list(groups.values())
 
-    def _pool_round(self, cells: Sequence[SweepCell]) -> list[SweepCell]:
-        pool = self._ensure_pool(len(cells))
-        retry_next: list[SweepCell] = []
-        futures: dict[CellKey, object] = {}
-        submit_errors: dict[CellKey, BaseException] = {}
+    def _task(self, group: Sequence[SweepCell]) -> tuple:
+        """``run_cell`` arguments for one group."""
+        return (
+            group[0].config,
+            group[0].seed,
+            [cell.policy for cell in group],
+            self.options,
+            [self.attempts[cell.key] for cell in group],
+        )
+
+    def _round(self, cells: Sequence[SweepCell]) -> list[SweepCell]:
         for cell in cells:
             self.attempts[cell.key] += 1
-            try:
-                futures[cell.key] = pool.submit(
-                    _worker_entry,
-                    cell.config,
-                    cell.seed,
-                    cell.policy,
-                    self.attempts[cell.key],
-                    self.observed,
-                    self.profiled,
-                    self.retry.timeout,
-                    self.retry.memory_mb,
-                    self.fallback,
-                )
-            except BrokenProcessPool as exc:
-                self._pool_tainted = True
-                submit_errors[cell.key] = exc
-        processed: set[CellKey] = set()
-        try:
-            # Wait in cell-key order: earlier waits overlap later cells'
-            # execution, and merge order stays deterministic.
-            for cell in cells:
-                if cell.key in submit_errors:
-                    self._attempt_failed(cell, submit_errors[cell.key], retry_next)
-                    continue
-                future = futures[cell.key]
+        groups = self._groups(cells)
+        futures: dict[int, Any] = {}
+        if self.use_pool and len(groups) > 1:
+            pool = self._ensure_pool(len(groups))
+            for index, group in enumerate(groups):
                 try:
-                    outcome, fb_record = _unwrap(
-                        future.result(timeout=self.retry.timeout)
-                    )
-                    outcome = _validate_outcome(
-                        cell, outcome, self.observed, self.profiled
-                    )
-                except (_FuturesTimeout, TimeoutError) as exc:
-                    # The hung worker keeps its slot until it finishes;
-                    # taint the pool so the next round starts fresh.
+                    futures[index] = pool.submit(run_cell, *self._task(group))
+                except BrokenProcessPool as exc:
                     self._pool_tainted = True
-                    self.stats.timeouts += 1
-                    timeout_exc: Exception = CellTimeoutError(
-                        f"cell {cell.key} exceeded timeout="
-                        f"{self.retry.timeout:g}s ({type(exc).__name__})"
-                    )
-                    self._attempt_failed(cell, timeout_exc, retry_next)
-                except (BrokenProcessPool, CancelledError) as exc:
-                    self._pool_tainted = True
-                    self._attempt_failed(cell, exc, retry_next)
+                    futures[index] = exc
+        group_of = {cell.key: index for index, group in enumerate(groups) for cell in group}
+        outcomes: dict[CellKey, Any] = {}
+        processed: set[CellKey] = set()
+        retry_next: list[SweepCell] = []
+        try:
+            for cell in cells:
+                if cell.key not in outcomes:
+                    index = group_of[cell.key]
+                    self._collect(groups[index], futures.get(index), outcomes)
+                outcome = outcomes[cell.key]
+                processed.add(cell.key)
+                if outcome is _SPLIT:
+                    retry_next.append(cell)
+                    continue
+                try:
+                    outcome = _validate_outcome(cell, outcome)
                 except Exception as exc:
                     self._attempt_failed(cell, exc, retry_next)
                 else:
-                    processed.add(cell.key)
-                    self._complete(cell, outcome, fb_record)
+                    self._complete(cell, outcome)
         except BaseException:
             # Abort (KeyboardInterrupt, SweepError under on_error=fail):
             # checkpoint whatever already finished, then cancel the rest.
-            self._flush_done(cells, futures, processed)
+            self._flush_done(cells, groups, futures, outcomes, processed)
             self._teardown_pool(cancel=True)
             raise
         if self._pool_tainted:
@@ -963,15 +963,59 @@ class _SweepRunner:
                 self.use_pool = False
         return retry_next
 
+    def _collect(
+        self,
+        group: Sequence[SweepCell],
+        future: Any,
+        outcomes: dict[CellKey, Any],
+    ) -> None:
+        """Run (serially) or await (pooled) one group's task and file
+        its outcomes by cell; a failure of the task itself becomes each
+        of its cells' error.  Re-raises an interrupt a label caught."""
+        try:
+            if future is None:
+                payload = run_cell(*self._task(group))
+            elif isinstance(future, BaseException):
+                raise future  # the submit itself failed
+            else:
+                timeout = self.retry.timeout
+                payload = future.result(
+                    timeout=None if timeout is None else timeout * len(group)
+                )
+        except (_FuturesTimeout, TimeoutError) as exc:
+            # The hung worker keeps its slot until it finishes; taint
+            # the pool so the next round starts fresh.
+            self._pool_tainted = True
+            self.stats.timeouts += 1
+            if len(group) > 1:
+                for cell in group:
+                    self.attempts[cell.key] -= 1
+                    self.alone.add(cell.key)
+                    outcomes[cell.key] = _SPLIT
+                return
+            payload = [CellOutcome(error=CellTimeoutError(
+                f"cell {group[0].key} exceeded timeout="
+                f"{self.retry.timeout:g}s ({type(exc).__name__})"
+            ))]
+        except (BrokenProcessPool, CancelledError) as exc:
+            self._pool_tainted = True
+            payload = [CellOutcome(error=exc) for _ in group]
+        except Exception as exc:
+            payload = [CellOutcome(error=exc) for _ in group]
+        _file_payload(group, payload, outcomes)
+        for outcome in payload if isinstance(payload, list) else ():
+            if isinstance(outcome, CellOutcome) and isinstance(
+                outcome.error, KeyboardInterrupt
+            ):
+                raise outcome.error
+
     # -- per-cell outcomes -------------------------------------------------
 
-    def _complete(
-        self, cell: SweepCell, outcome, fb_record: Optional[dict] = None
-    ) -> None:
-        if fb_record is not None:
+    def _complete(self, cell: SweepCell, outcome: CellOutcome) -> None:
+        if outcome.fallback is not None:
             record = {
                 "cell": {"x": cell.x, "policy": cell.policy, "seed": cell.seed},
-                **fb_record,
+                **outcome.fallback,
             }
             self.stats.engine_fallbacks.append(record)
             if self.trace is not None:
@@ -980,28 +1024,22 @@ class _SweepRunner:
                     x=cell.x,
                     policy=cell.policy,
                     seed=cell.seed,
-                    error=fb_record.get("exception"),
+                    error=outcome.fallback.get("exception"),
                 )
         prof = self.profile
-        prof_state: Optional[dict] = None
-        if self.profiled:
-            result, wall_ms, deltas, prof_state = outcome
-        elif self.observed:
-            result, wall_ms, deltas = outcome
-        else:
-            result, wall_ms, deltas = outcome, 0.0, None
-        if deltas is not None and self.metrics is not None:
+        if outcome.deltas is not None and self.metrics is not None:
             t0 = time.perf_counter()
-            self.metrics.merge_snapshot(deltas)
-            self.metrics.histogram("sweep.cell_wall_ms").observe(wall_ms)
+            self.metrics.merge_snapshot(outcome.deltas)
+            self.metrics.histogram("sweep.cell_wall_ms").observe(outcome.wall_ms)
             merge_s = time.perf_counter() - t0
             observe_stage(self.metrics, "merge", merge_s * 1000.0)
             if prof is not None:
                 prof.timer("sweep.merge", "stage").add(merge_s)
-        if prof is not None and prof_state is not None:
+        if prof is not None and outcome.prof_state is not None:
             # Called in cell-key order within each round, so the merged
             # recording's structure is worker-count-independent.
-            prof.extend(prof_state)
+            prof.extend(outcome.prof_state)
+        result = outcome.result
         self.results[cell.key] = result
         self.stats.cells_run += 1
         if cell.key in self.failures:
@@ -1013,11 +1051,12 @@ class _SweepRunner:
             # sweep resumes from here.  Cache write errors degrade to a
             # counter (the cache disables itself after the first one).
             before = self.cache.counters.put_errors
+            key = self.keys.get(cell.key)
             if self.metrics is None and prof is None:
-                self.cache.safe_put(cell.config, cell.seed, cell.policy, result)
+                self.cache.safe_put(cell.config, cell.seed, cell.policy, result, key)
             else:
                 t0 = time.perf_counter()
-                self.cache.safe_put(cell.config, cell.seed, cell.policy, result)
+                self.cache.safe_put(cell.config, cell.seed, cell.policy, result, key)
                 put_s = time.perf_counter() - t0
                 if self.metrics is not None:
                     observe_stage(self.metrics, "cache_put", put_s * 1000.0)
@@ -1059,29 +1098,35 @@ class _SweepRunner:
     def _flush_done(
         self,
         cells: Sequence[SweepCell],
-        futures: Mapping[CellKey, object],
+        groups: Sequence[Sequence[SweepCell]],
+        futures: Mapping[int, Any],
+        outcomes: dict[CellKey, Any],
         processed: set[CellKey],
     ) -> None:
-        """Merge finished-but-unprocessed futures (checkpoint on abort)."""
-        for cell in cells:
-            future = futures.get(cell.key)
+        """Merge finished-but-unprocessed cells (checkpoint on abort)."""
+        for index, future in futures.items():
             if (
-                future is None
-                or cell.key in processed
-                or not future.done()
-                or future.cancelled()
-                or future.exception() is not None
+                isinstance(future, Future)
+                and future.done()
+                and not future.cancelled()
+                and future.exception() is None
+                and groups[index][0].key not in outcomes
+            ):
+                _file_payload(groups[index], future.result(), outcomes)
+        for cell in cells:
+            outcome = outcomes.get(cell.key)
+            if (
+                cell.key in processed
+                or not isinstance(outcome, CellOutcome)
+                or outcome.error is not None
             ):
                 continue
             try:
-                outcome, fb_record = _unwrap(future.result())
-                outcome = _validate_outcome(
-                    cell, outcome, self.observed, self.profiled
-                )
+                outcome = _validate_outcome(cell, outcome)
             except Exception:
                 continue
             processed.add(cell.key)
-            self._complete(cell, outcome, fb_record)
+            self._complete(cell, outcome)
 
     # -- pool management ---------------------------------------------------
 
@@ -1099,6 +1144,24 @@ class _SweepRunner:
             self._pool = None
 
 
+def _file_payload(
+    group: Sequence[SweepCell], payload: Any, outcomes: dict[CellKey, Any]
+) -> None:
+    """File a task's payload — one :class:`CellOutcome` per cell, in
+    order — by cell key.  A cell the payload does not cover (a corrupt
+    payload, or one cut short by an interrupt) fails as corrupt."""
+    if not isinstance(payload, list):
+        payload = []
+    for index, cell in enumerate(group):
+        outcomes[cell.key] = (
+            payload[index]
+            if index < len(payload)
+            else CellOutcome(
+                error=CorruptResultError(f"cell {cell.key}: task returned no outcome")
+            )
+        )
+
+
 def execute_cells(
     cells: Sequence[SweepCell],
     jobs: Optional[int] = None,
@@ -1112,11 +1175,12 @@ def execute_cells(
     """Run every cell, in parallel where possible; results keyed and
     ordered by :data:`CellKey`.
 
-    Cached cells are served from ``cache`` without simulating; computed
-    cells are stored back the moment they complete (the sweep's
-    checkpoint).  With ``jobs > 1`` the pending cells go to a process
-    pool, but the returned mapping (and the trace stream) is sorted by
-    cell key, so output never depends on completion order.
+    Cached cells are served from ``cache`` without simulating; the
+    pending ones run one task per ``(config, seed)`` (see
+    :class:`_SweepRunner`), and each computed cell is stored back as it
+    merges (the sweep's checkpoint).  With ``jobs > 1`` the tasks go to
+    a process pool, but the returned mapping (and the trace stream) is
+    sorted by cell key, so output never depends on completion order.
 
     ``retry`` (or the configured default) chooses the failure policy:
     see :class:`RetryPolicy`.  Under ``on_error="skip"`` the returned
@@ -1173,13 +1237,14 @@ def execute_cells(
 
     results: dict[CellKey, SimulationResult] = {}
     pending: list[SweepCell] = []
+    keys: dict[CellKey, str] = {}
     lookup_t0 = time.perf_counter()
     for cell in ordered:
-        hit = (
-            cache.get(cell.config, cell.seed, cell.policy)
-            if cache is not None
-            else None
-        )
+        hit = None
+        if cache is not None:
+            # Computed once: the store after the cell runs reuses it.
+            key = keys[cell.key] = cache_key(cell.config, cell.seed, cell.policy)
+            hit = cache.get(cell.config, cell.seed, cell.policy, key)
         if hit is not None:
             results[cell.key] = hit
             stats.cache_hits += 1
@@ -1211,6 +1276,7 @@ def execute_cells(
                 stats=stats,
                 profile=profile,
                 fallback=fallback,
+                keys=keys,
             )
             runner.run()
             results.update(runner.results)

@@ -17,7 +17,9 @@ cell that dies on an unexpected exception is
 
 Both engines are bit-identical, so a healed cell's result is *the*
 result — figures from a sweep with fallbacks match an all-reference
-run exactly.
+run exactly.  The healing scope itself wraps each locking label of
+:func:`repro.experiments.parallel.run_cell`; this module quarantines
+(:func:`quarantine_failure`) and replays.
 
 Budget exceptions (:class:`~repro.sim.engine.BudgetExceeded`) never
 trigger fallback: blowing a wall-clock/event/memory budget on the
@@ -38,7 +40,6 @@ from typing import Any, Optional
 from repro.config import SimulationConfig
 from repro.experiments import faults
 from repro.experiments.cache import cache_key
-from repro.sim.engine import BudgetExceeded
 from repro.sim.stream import RingSink
 
 #: Identifies a quarantine bundle document.
@@ -70,11 +71,12 @@ class FallbackPolicy:
 
 @dataclasses.dataclass
 class CellEnvelope:
-    """A guarded worker's payload: the outcome plus fallback metadata.
+    """What :func:`run_cell_guarded` returns: the cell's result plus
+    fallback metadata.
 
     ``fallback`` is ``None`` for cells that ran clean; otherwise the
     ``engine_fallback`` record destined for sweep stats and the run
-    manifest (minus the ``cell`` coordinates, which the parent adds).
+    manifest (minus the ``cell`` coordinates, which the executor adds).
     """
 
     outcome: Any
@@ -144,111 +146,47 @@ def run_cell_guarded(
     max_memory_mb: Optional[float],
     fallback: FallbackPolicy,
 ) -> CellEnvelope:
-    """The guarded worker entry: simulate, healing kernel failures.
+    """One guarded cell attempt, as an envelope.
 
-    Non-``kernel`` injected faults fire exactly as on the unguarded
-    path (they model *worker* failures — the healing scope must not
-    swallow them); the ``kernel`` kind fires inside the scope, standing
-    in for a real engine defect.  Returns a :class:`CellEnvelope`; a
-    corrupt payload passes through bare for the executor's validation
-    to reject, exactly as before.
+    Runs the cell through :func:`~repro.experiments.parallel.run_cell`
+    with ``fallback`` active at ``attempt``, so the attempt's scheduled
+    fault fires and a kernel failure heals onto the reference engine
+    (``observed``/``profiled`` attach the sweep's observers; their data
+    stays in the :class:`~repro.experiments.parallel.CellOutcome`).
+    Raises what the cell raised; an injected corrupt payload passes
+    through as the envelope's outcome.
     """
-    key = cache_key(config, seed, policy_name)
-    plan = faults.active_plan()
-    scheduled = plan.decide(key, attempt) if plan is not None else None
-    if scheduled is not None and scheduled != "kernel":
-        injected = faults.maybe_inject(key, attempt)
-        if injected is not None:
-            return CellEnvelope(injected)  # CORRUPT_PAYLOAD, wrapped
-    try:
-        if scheduled == "kernel":
-            faults.inject_kernel_fault(key, attempt)
-        return CellEnvelope(
-            _simulate(
-                config,
-                seed,
-                policy_name,
-                observed=observed,
-                profiled=profiled,
-                max_wall_s=max_wall_s,
-                max_memory_mb=max_memory_mb,
-            )
-        )
-    except BudgetExceeded:
-        # A budget blown on the fast engine is blown worse on the slow
-        # one; keep the partial-progress failure record instead.
-        raise
-    except (KeyboardInterrupt, SystemExit, MemoryError):
-        raise
-    except Exception as exc:
-        if not kernel_eligible(config):
-            raise
-        return _heal(
-            config,
-            seed,
-            policy_name,
-            attempt,
-            exc,
-            observed=observed,
-            profiled=profiled,
-            max_wall_s=max_wall_s,
-            max_memory_mb=max_memory_mb,
-            fallback=fallback,
-        )
+    from repro.experiments.parallel import CellOptions, run_cell
 
-
-def _simulate(
-    config: SimulationConfig,
-    seed: int,
-    policy_name: str,
-    *,
-    observed: bool,
-    profiled: bool,
-    max_wall_s: Optional[float],
-    max_memory_mb: Optional[float],
-):
-    """Dispatch to the right ``simulate_cell*`` flavour (late import —
-    :mod:`repro.experiments.parallel` imports this module)."""
-    from repro.experiments import parallel
-
-    if profiled:
-        return parallel.simulate_cell_profiled(
-            config,
-            seed,
-            policy_name,
-            max_wall_s=max_wall_s,
-            max_memory_mb=max_memory_mb,
-        )
-    if observed:
-        return parallel.simulate_cell_observed(
-            config,
-            seed,
-            policy_name,
-            max_wall_s=max_wall_s,
-            max_memory_mb=max_memory_mb,
-        )
-    return parallel.simulate_cell(
-        config, seed, policy_name, max_wall_s=max_wall_s,
+    options = CellOptions(
+        max_wall_s=max_wall_s,
         max_memory_mb=max_memory_mb,
+        observe=observed,
+        profile=profiled,
+        fallback=fallback,
     )
+    outcome = run_cell(config, seed, (policy_name,), options, (attempt,))[0]
+    outcome.checked()
+    return CellEnvelope(outcome.result, outcome.fallback)
 
 
-def _heal(
+def quarantine_failure(
     config: SimulationConfig,
     seed: int,
     policy_name: str,
-    attempt: int,
+    attempt: Optional[int],
     exc: Exception,
     *,
-    observed: bool,
-    profiled: bool,
     max_wall_s: Optional[float],
     max_memory_mb: Optional[float],
     fallback: FallbackPolicy,
-) -> CellEnvelope:
-    """Quarantine the failure, then re-run on the sanitized reference
-    engine.  If the reference re-run *also* fails, its exception
-    propagates — the defect was never kernel-specific."""
+) -> dict:
+    """Quarantine a kernel failure ahead of its reference re-run.
+
+    Writes the cell's bundle (best effort: an unwritable results dir
+    must never turn a healable cell into a failed one) and returns the
+    ``engine_fallback`` record of the re-run.
+    """
     bundle_path: Optional[str] = None
     reproduced = False
     try:
@@ -263,20 +201,8 @@ def _heal(
             fallback=fallback,
         )
     except Exception:
-        # Quarantine is best-effort diagnostics: an unwritable results
-        # dir must never turn a healable cell into a failed one.
         bundle_path = None
-    healed = config.replace(engine="reference", sanitize=True)
-    outcome = _simulate(
-        healed,
-        seed,
-        policy_name,
-        observed=observed,
-        profiled=profiled,
-        max_wall_s=max_wall_s,
-        max_memory_mb=max_memory_mb,
-    )
-    record = {
+    return {
         "exception": type(exc).__name__,
         "message": str(exc)[:300],
         "engine": "reference",
@@ -285,7 +211,6 @@ def _heal(
         "bundle": bundle_path,
         "reproduced": reproduced,
     }
-    return CellEnvelope(outcome, record)
 
 
 # ---------------------------------------------------------------------------

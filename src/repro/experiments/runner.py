@@ -7,14 +7,14 @@ configuration; :func:`sweep` repeats it along a parameter axis (arrival
 rate, database size, penalty weight, ...).
 
 All three entry points route through
-:mod:`repro.experiments.parallel`: every (x, policy, seed) cell is an
-independent unit of work, fanned out over ``jobs`` worker processes and
-optionally served from / stored to an on-disk
-:class:`~repro.experiments.cache.ResultCache`.  Workload generation is
-deterministic in ``(config, seed)``, so regenerating a seed's workload
-per cell preserves the paired-comparison semantics, and results are
-merged in cell-key order — parallel output is identical to serial
-output for the same seeds (proven by
+:mod:`repro.experiments.parallel`: every (x, policy, seed) cell is
+served from / stored to an optional on-disk
+:class:`~repro.experiments.cache.ResultCache` on its own, and the
+uncached cells run one task per workload — each ``(config, seed)`` is
+generated once and replayed under every pending policy, which is the
+paired comparison itself — fanned out over ``jobs`` worker processes.
+Results are merged in cell-key order, so parallel output is identical
+to serial output for the same seeds (proven by
 ``tests/experiments/test_parallel.py``).
 """
 
@@ -36,7 +36,6 @@ from repro.experiments.parallel import (
     cells_for_sweep,
     execute_cells,
     simulate_cell,
-    simulate_cell_traced,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.metrics.summary import RunSummary, summarize
@@ -111,8 +110,8 @@ def compare_policies(
 ) -> dict[str, RunSummary]:
     """Seed-averaged summaries for several policies on paired workloads.
 
-    Each seed's workload is regenerated deterministically for every
-    policy, so the comparison still isolates the scheduling decision.
+    Each seed's workload is generated once and replayed under every
+    policy, so the comparison isolates the scheduling decision.
     """
     swept = sweep(
         {0.0: config}, seeds, policies,
@@ -200,6 +199,5 @@ __all__ = [
     "policy_factory",
     "run_policy",
     "simulate_cell",
-    "simulate_cell_traced",
     "sweep",
 ]

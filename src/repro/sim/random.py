@@ -20,12 +20,24 @@ from typing import Sequence, TypeVar
 T = TypeVar("T")
 
 
+def check_probability(probability: float) -> float:
+    """``probability``, if it lies in [0, 1]; ``ValueError`` otherwise."""
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {probability}")
+    return probability
+
+
 class RandomStream:
     """One independently seeded stream of random variates."""
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
+        self.random = self._rng.random
+        """Bound uniform draw on [0, 1), for hot loops: ``random() < p``
+        is the draw :meth:`coin` makes, without its per-call check, so
+        such a caller validates ``p`` once with
+        :func:`check_probability`."""
 
     def exponential(self, mean: float) -> float:
         """Exponential variate with the given mean (not rate)."""
@@ -77,9 +89,7 @@ class RandomStream:
 
     def coin(self, probability: float) -> bool:
         """Bernoulli trial."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
-        return self._rng.random() < probability
+        return self._rng.random() < check_probability(probability)
 
 
 class StreamFactory:

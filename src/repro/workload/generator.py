@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.config import SimulationConfig
 from repro.rtdb.transaction import Operation, TransactionSpec
-from repro.sim.random import StreamFactory
+from repro.sim.random import StreamFactory, check_probability
 from repro.workload.deadlines import assign_deadline
 from repro.workload.arrivals import bursty_arrivals, poisson_arrivals
 from repro.workload.types import TransactionType, make_type_table
@@ -55,6 +55,9 @@ class WorkloadGenerator:
         choice_stream = self._factory.stream("type-choice")
         slack_stream = self._factory.stream("slack")
         io_stream = self._factory.stream("disk-io")
+        # Disk-leg coins: io_stream.coin's draw, validated once here.
+        disk_prob = check_probability(config.disk_access_prob)
+        io_draw = io_stream.random
         criticalness_stream = self._factory.stream("criticalness")
 
         if config.arrival_model == "bursty":
@@ -80,7 +83,7 @@ class WorkloadGenerator:
             legs = 0
             if config.disk_resident:
                 for k in range(len(tx_type.items)):
-                    if io_stream.coin(config.disk_access_prob):
+                    if io_draw() < disk_prob:
                         legs |= 1 << k
             program = programs.get((tx_type.type_id, legs))
             if program is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.config import SimulationConfig
-from repro.sim.random import RandomStream
+from repro.sim.random import RandomStream, check_probability
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,13 +71,14 @@ def make_type_table(
     class assignment of Section 4.2).
     """
     table: list[TransactionType] = []
+    read_fraction = check_probability(config.read_fraction)
+    draw = stream.random
     for type_id in range(config.n_transaction_types):
         n_updates = stream.positive_int_normal(config.updates_mean, config.updates_std)
         n_updates = min(n_updates, config.db_size)
         items = stream.sample_without_replacement(config.db_size, n_updates)
-        write_flags = tuple(
-            not stream.coin(config.read_fraction) for _ in items
-        )
+        # One coin per item, as stream.coin(read_fraction) would flip it.
+        write_flags = tuple(not (draw() < read_fraction) for _ in items)
         table.append(
             TransactionType(
                 type_id=type_id,

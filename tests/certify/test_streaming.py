@@ -14,8 +14,9 @@ import pytest
 from repro.certify.certifier import certify_events
 from repro.certify.runner import certify_cell, default_cells, stream_path_for
 from repro.experiments.config import ExperimentScale
-from repro.experiments.parallel import simulate_cell_traced
+from repro.experiments.parallel import CellOptions, run_cell
 from repro.sim.stream import JsonlSink, iter_jsonl
+from repro.tracing import EventLog
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,12 @@ def quick_scale():
 @pytest.fixture(scope="module")
 def sample_cell(quick_scale):
     return default_cells("fig4a", quick_scale, ("CCA",))[0]
+
+
+def traced(cell, sink):
+    """The cell's outcome with ``sink`` attached."""
+    options = CellOptions(trace=sink)
+    return run_cell(cell.config, cell.seed, (cell.policy,), options)[0]
 
 
 def certifications_equal(left, right):
@@ -59,33 +66,21 @@ class TestStreamedCertifyParity:
 
     def test_sink_stream_equals_event_log(self, sample_cell, tmp_path):
         """Byte-level: the sink's records ARE the EventLog's records."""
-        _, log, _ = simulate_cell_traced(
-            sample_cell.config, sample_cell.seed, sample_cell.policy
-        )
+        log = EventLog()
+        in_memory = traced(sample_cell, log).checked()
         path = tmp_path / "cell.jsonl"
         with JsonlSink(path) as sink:
-            _, returned, _ = simulate_cell_traced(
-                sample_cell.config,
-                sample_cell.seed,
-                sample_cell.policy,
-                sink=sink,
-            )
-            assert returned is sink
+            streamed = traced(sample_cell, sink).checked()
+        assert streamed.result == in_memory.result
         assert list(iter_jsonl(path)) == log.events
 
     def test_write_read_certify_round_trip(self, sample_cell, tmp_path):
         """write -> read -> certify: the satellite's full loop."""
-        result, log, workload = simulate_cell_traced(
-            sample_cell.config, sample_cell.seed, sample_cell.policy
-        )
+        log = EventLog()
+        workload = traced(sample_cell, log).checked().workload
         path = tmp_path / "cell.jsonl"
         with JsonlSink(path) as sink:
-            simulate_cell_traced(
-                sample_cell.config,
-                sample_cell.seed,
-                sample_cell.policy,
-                sink=sink,
-            )
+            traced(sample_cell, sink)
         direct = certify_events(
             log.events,
             workload,

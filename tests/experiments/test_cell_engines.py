@@ -1,6 +1,6 @@
 """Cell labels select engines: locking policies, ``OCC`` and ``<policy>x<n>``.
 
-Every experiment's cells run through one path (``simulate_cell`` and the
+Every experiment's cells run through one path (``run_cell`` and the
 executor); the label alone picks the locking engines (kernel or
 reference), broadcast-commit OCC, or the multiprocessor engine.  These
 tests hold the dispatch to what the engines give when built by hand,
@@ -27,10 +27,11 @@ from repro.experiments.parallel import (
     cell_engine,
     cells_for_sweep,
     execute_cells,
+    CellOptions,
+    CellOutcome,
     last_stats,
+    run_cell,
     simulate_cell,
-    simulate_cell_observed,
-    simulate_cell_profiled,
 )
 from repro.experiments.quarantine import FallbackPolicy
 from repro.mp.simulator import MultiprocessorSimulator
@@ -96,10 +97,10 @@ class TestDispatch:
         ).run()
 
     def test_result_from_the_wrong_engine_is_rejected(self, config):
-        locking = simulate_cell(config, SEED, "EDF-HP")
+        locking = CellOutcome(result=simulate_cell(config, SEED, "EDF-HP"))
         cell = SweepCell(x=0.0, policy="OCC", seed=SEED, config=config)
         with pytest.raises(CorruptResultError, match="OCC-EDF-HP"):
-            parallel._validate_outcome(cell, locking, False, False)
+            parallel._validate_outcome(cell, locking)
 
 
 class TestCacheKeys:
@@ -158,9 +159,10 @@ class TestObservation:
     def test_observed_cell_ships_engine_tally_and_stage_timings(
         self, config, label, family
     ):
-        result, wall_ms, deltas = simulate_cell_observed(config, SEED, label)
-        assert result == simulate_cell(config, SEED, label)
-        assert wall_ms > 0
+        (outcome,) = run_cell(config, SEED, (label,), CellOptions(observe=True))
+        deltas = outcome.deltas
+        assert outcome.result == simulate_cell(config, SEED, label)
+        assert outcome.wall_ms > 0
         assert deltas["counters"] == {f"sweep.engine{{engine={family}}}": 1}
         stages = {key for key in deltas["histograms"] if key.startswith("prof.stage_ms")}
         assert stages == {
@@ -170,9 +172,9 @@ class TestObservation:
         }
 
     def test_profiled_occ_cell_records_stage_spans(self, config):
-        result, _, _, prof_state = simulate_cell_profiled(config, SEED, "OCC")
-        assert result == simulate_cell(config, SEED, "OCC")
-        names = {span[1] for span in prof_state["spans"]}
+        (outcome,) = run_cell(config, SEED, ("OCC",), CellOptions(profile=True))
+        assert outcome.result == simulate_cell(config, SEED, "OCC")
+        names = {span[1] for span in outcome.prof_state["spans"]}
         assert {"cell.workload_gen", "cell.build", "cell.event_loop"} <= names
 
     def test_metrics_and_profile_leave_mixed_results_unchanged(self, config):

@@ -5,7 +5,9 @@ type and disk legs, and the kernel builds one op-table segment, one
 item-range check and one mask pair per distinct tuple.  Results must not
 depend on that sharing: a workload with every tuple and operation
 rebuilt, so nothing is shared, runs to an equal result, and both equal
-the reference engine's.
+the reference engine's.  Kernels built one after another on the same
+specs share one build of the per-workload tables, again without moving
+a result.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.core.kernel import KernelSimulator
 from repro.core.policy import make_policy
 from repro.core.simulator import RTDBSimulator
 from repro.experiments.config import DISK_BASE, MAIN_MEMORY_BASE
+from repro.obs.registry import MetricsRegistry
 from repro.rtdb.transaction import Operation, TransactionSpec
 from repro.workload.generator import generate_workload
 
@@ -80,3 +83,40 @@ def test_generated_workload_out_of_range_names_first_offender():
     item = next(op.item for op in first.operations if op.item >= 50)
     with pytest.raises(KeyError, match=f"transaction {first.tid} updates item {item},"):
         KernelSimulator(config, workload, make_policy("CCA", penalty_weight=1.0))
+
+
+def test_kernels_on_one_workload_share_its_tables():
+    """A sweep task replays one workload under each policy: consecutive
+    kernels on the same specs reuse one build of the per-workload
+    tables, and results equal those of a fresh build."""
+    config = CONFIGS["disk"]
+    workload = generate_workload(config, 1)
+    first = KernelSimulator(config, workload, make_policy("CCA", penalty_weight=1.0))
+    second = KernelSimulator(config, workload, make_policy("EDF-HP"))
+    assert second._masks is first._masks
+    assert second._op_item is first._op_item and second._arrival is first._arrival
+    shared = second.run()
+
+    fresh = KernelSimulator(config, unshared(workload), make_policy("EDF-HP"))
+    assert fresh._masks is not first._masks
+    assert fresh.run() == shared
+    resized = config.replace(db_size=config.db_size + 1)
+    assert KernelSimulator(resized, workload, make_policy("EDF-HP"))._masks is not first._masks
+
+
+def test_shared_conflict_matrix_materializes_once_per_workload():
+    config = CONFIGS["disk"]
+    workload = generate_workload(config, 2)
+    builds = []
+    for _ in range(2):
+        registry = MetricsRegistry()
+        KernelSimulator(
+            config, workload, make_policy("CCA", penalty_weight=1.0),
+            metrics=registry, introspect=True,
+        ).run()
+        builds.append(
+            registry.snapshot()["counters"].get(
+                "kernel.mask_builds{kind=conflict_slots,policy=CCA}", 0
+            )
+        )
+    assert builds == [1, 0]
