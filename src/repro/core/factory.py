@@ -8,8 +8,9 @@ Every entry point that used to construct :class:`RTDBSimulator` directly
   :class:`~repro.core.kernel.KernelSimulator` whenever this
   configuration has a kernel encoding, otherwise silently fall back to
   the reference engine.  Unsupported today: sanitized runs (RTSan
-  introspects the reference engine's objects), time-series samplers,
-  and custom policy/oracle/recovery classes with no integer encoding.
+  introspects the reference engine's objects) and custom
+  policy/oracle/recovery classes with no integer encoding.  Trace
+  hooks, including the time-series sampler, keep the kernel.
 * ``"kernel"`` — require the kernel; :class:`UnsupportedKernelFeature`
   propagates if the configuration has no encoding.  Used by the bench
   and parity suites so a silent fallback can never masquerade as a
@@ -36,7 +37,6 @@ from repro.rtdb.transaction import TransactionSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.prof import SpanProfiler
     from repro.obs.registry import MetricsRegistry
-    from repro.obs.sampler import TimeSeriesSampler
 
 Simulator = Union[RTDBSimulator, KernelSimulator]
 
@@ -54,7 +54,6 @@ def make_simulator(
     max_wall_s: Optional[float] = None,
     max_memory_mb: Optional[float] = None,
     metrics: Optional["MetricsRegistry"] = None,
-    sampler: Optional["TimeSeriesSampler"] = None,
     sanitize: Optional[bool] = None,
     profile: Optional["SpanProfiler"] = None,
     introspect: bool = False,
@@ -63,12 +62,13 @@ def make_simulator(
 
     Accepts exactly the :class:`RTDBSimulator` constructor arguments and
     returns an object with the same ``run() -> SimulationResult``
-    surface.  ``profile`` and ``introspect`` are supported by *both*
-    engines (the kernel does not fall back for them: profiling observes
-    wall time and introspection observes kernel machinery, neither
-    perturbs results), so attaching a profiler under ``engine="auto"``
-    keeps the kernel selected — unlike ``sampler``/``sanitize``, which
-    need reference-engine events.
+    surface.  ``trace``, ``profile`` and ``introspect`` are supported
+    by *both* engines (the kernel does not fall back for them: trace
+    hooks see the same event stream from either engine, profiling
+    observes wall time and introspection observes kernel machinery, and
+    none perturbs results), so attaching a time-series sampler or a
+    profiler under ``engine="auto"`` keeps the kernel selected — unlike
+    ``sanitize``, which needs the reference engine's objects.
     """
     kwargs = dict(
         oracle=oracle,
@@ -80,7 +80,6 @@ def make_simulator(
         max_wall_s=max_wall_s,
         max_memory_mb=max_memory_mb,
         metrics=metrics,
-        sampler=sampler,
         sanitize=sanitize,
         profile=profile,
         introspect=introspect,

@@ -39,9 +39,10 @@ deliberately avoided where it would change summation order.
 
 Unsupported features raise :class:`UnsupportedKernelFeature` at
 construction; :func:`repro.core.factory.make_simulator` then falls back
-to the reference engine (custom policies/oracles/recovery models,
-samplers, RTSan — the sanitizer validates the reference engine, whose
-equivalence to this kernel the differential suite establishes).
+to the reference engine (custom policies/oracles/recovery models and
+RTSan — the sanitizer validates the reference engine, whose
+equivalence to this kernel the differential suite establishes).  Trace
+hooks, the time-series sampler among them, run on the kernel.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from repro.core.simulator import (
     SimulationResult,
     TraceHook,
     TransactionRecord,
+    bind_hook,
 )
 from repro.rtdb.recovery import FixedRecovery, ProportionalRecovery, RecoveryModel
 from repro.rtdb.transaction import TransactionSpec
@@ -344,13 +346,10 @@ class KernelSimulator:
         max_wall_s: Optional[float] = None,
         max_memory_mb: Optional[float] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        sampler: object = None,
         sanitize: Optional[bool] = None,
         profile: Optional["SpanProfiler"] = None,
         introspect: bool = False,
     ) -> None:
-        if sampler is not None:
-            raise UnsupportedKernelFeature("time-series samplers need engine events")
         if sanitize if sanitize is not None else config.sanitize:
             raise UnsupportedKernelFeature(
                 "RTSan validates the reference engine (see docs/KERNEL.md)"
@@ -382,7 +381,7 @@ class KernelSimulator:
         self.recovery = recovery
         self.include_rollback_in_penalty = include_rollback_in_penalty
         self.eager_wounds = eager_wounds
-        self.trace = trace
+        self.trace = bind_hook(trace)
         self.metrics = metrics
         if metrics is not None:
             from repro.obs.hooks import SimulatorMetrics

@@ -66,6 +66,7 @@ Aborted transactions restart from scratch with their original deadline
 from __future__ import annotations
 
 import dataclasses
+from types import FunctionType
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.analysis.relations import Safety
@@ -85,11 +86,18 @@ from repro.sim.engine import BudgetExceeded, Simulator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.prof import SpanProfiler
     from repro.obs.registry import MetricsRegistry
-    from repro.obs.sampler import TimeSeriesSampler
 
 TraceHook = Callable[..., None]
 """Optional callable(event_name, **fields) invoked on simulator events;
 used by tests to check schedule-level invariants."""
+
+
+def bind_hook(trace: Optional[TraceHook]) -> Optional[TraceHook]:
+    """``trace`` as the engines call it: a hook object's Python
+    ``__call__`` bound once, so no event pays the interpreter's generic
+    callable-object path (an args tuple and kwargs dict per call)."""
+    call = getattr(type(trace), "__call__", None)
+    return call.__get__(trace) if isinstance(call, FunctionType) else trace
 
 _EPS = 1e-9
 
@@ -233,10 +241,6 @@ class RTDBSimulator:
         conflict evaluations, noncontributing CPU time, IO-wait
         scheduling decisions) directly into it.  ``None`` (the default)
         costs nothing on the hot path.
-    sampler:
-        Optional :class:`~repro.obs.sampler.TimeSeriesSampler`; when
-        set, ``run()`` attaches it so it snapshots queue depths and
-        utilization at its configured simulated-time interval.
     sanitize:
         Attach the RTSan invariant sanitizer
         (:class:`repro.checks.sanitizer.Sanitizer`): after every event
@@ -273,7 +277,6 @@ class RTDBSimulator:
         max_wall_s: Optional[float] = None,
         max_memory_mb: Optional[float] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        sampler: Optional["TimeSeriesSampler"] = None,
         sanitize: Optional[bool] = None,
         profile: Optional["SpanProfiler"] = None,
         introspect: bool = False,
@@ -300,7 +303,7 @@ class RTDBSimulator:
         )
         self.include_rollback_in_penalty = include_rollback_in_penalty
         self.eager_wounds = eager_wounds
-        self.trace = trace
+        self.trace = bind_hook(trace)
         self.metrics = metrics
         if metrics is not None:
             from repro.obs.hooks import SimulatorMetrics
@@ -316,7 +319,6 @@ class RTDBSimulator:
         # engine it selects) but names kernel-machinery counters this
         # engine does not have, so it is a no-op here.
         self._prof = profile
-        self.sampler = sampler
         self.max_events = (
             max_events if max_events is not None else 5000 * len(workload)
         )
@@ -385,8 +387,6 @@ class RTDBSimulator:
         """Execute the whole workload and return aggregate results."""
         if self._finished:
             raise RuntimeError("a simulator instance runs exactly once")
-        if self.sampler is not None:
-            self.sampler.attach(self)
         prof = self._prof
         t0 = prof.begin() if prof is not None else 0.0
         for spec in self.workload:
@@ -543,7 +543,7 @@ class RTDBSimulator:
         spec: TransactionSpec = event.payload
         tx = Transaction(spec)
         self.live[tx.tid] = tx
-        self._trace("arrival", tx=tx)
+        self._trace("arrival", tx)
         self._dispatch()
 
     def _on_io_complete(self, tx: Transaction, epoch: int) -> None:
@@ -551,11 +551,11 @@ class RTDBSimulator:
             # Stale completion: the transaction was wounded while its
             # access was in progress (paper: it keeps the disk until the
             # transfer ends, but the result is discarded).
-            self._trace("io_stale", tx=tx)
+            self._trace("io_stale", tx)
             return
         tx.io_pending = False
         tx.state = TxState.READY
-        self._trace("io_complete", tx=tx)
+        self._trace("io_complete", tx)
         self._dispatch()
 
     def _on_firm_deadline(self, event) -> None:
@@ -576,7 +576,7 @@ class RTDBSimulator:
         del self.live[tx.tid]
         self._plist_discard(tx)
         self.n_dropped += 1
-        self._trace("drop", tx=tx)
+        self._trace("drop", tx)
         if self._m is not None:
             self._m.drops.inc()
             self._m.noncontributing_ms.observe(tx.service_received)
@@ -633,7 +633,7 @@ class RTDBSimulator:
         if desired.first_dispatch_time is None:
             desired.first_dispatch_time = self.sim.now
         self.cpu.start(self.sim.now)
-        self._trace("dispatch", tx=desired)
+        self._trace("dispatch", desired)
         if self._m is not None:
             self._m.dispatches.inc()
         if self.eager_wounds and not self.policy.wait_promote:
@@ -712,7 +712,7 @@ class RTDBSimulator:
         self.cpu.stop(self.sim.now)
         self.running = None
         tx.state = TxState.READY
-        self._trace("preempt", tx=tx)
+        self._trace("preempt", tx)
         if self._m is not None:
             self._m.preempts.inc()
 
@@ -740,7 +740,7 @@ class RTDBSimulator:
                 tx.state = TxState.IO_WAIT
                 self._release_cpu(tx)
                 assert self.disk is not None
-                self._trace("io_start", tx=tx)
+                self._trace("io_start", tx)
                 self.disk.request(tx, tx.current_operation.io_time)
                 self._dispatch()
                 return
@@ -782,7 +782,10 @@ class RTDBSimulator:
                 tx.state = TxState.LOCK_BLOCKED
                 tx.blocked_on = op.item
                 self.lockmgr.enqueue_waiter(tx, op.item)
-                self._trace("lock_wait", tx=tx, item=op.item, holders=blockers)
+                if self.trace is not None:
+                    self.trace(
+                        "lock_wait", time=self.sim.now, tx=tx, item=op.item, holders=blockers
+                    )
                 if self._m is not None:
                     self._m.lock_waits.inc()
                 self._release_cpu(tx)
@@ -791,7 +794,8 @@ class RTDBSimulator:
         if not self.lockmgr.acquire(tx, op.item, exclusive=op.is_write):
             raise RuntimeError(f"lock {op.item} not grantable after resolution")
         tx.record_access(op.item, write=op.is_write)
-        self._trace("lock_acquire", tx=tx, item=op.item, exclusive=op.is_write)
+        if self.trace is not None:
+            self.trace("lock_acquire", time=self.sim.now, tx=tx, item=op.item, exclusive=op.is_write)
         self._advance_node(tx)
         self._note_partially_executed(tx)
         tx.remaining_compute = op.compute_time
@@ -812,7 +816,8 @@ class RTDBSimulator:
         """
         if self.policy.wait_promote:
             if self._would_deadlock(tx, holder):
-                self._trace("deadlock_break", tx=holder, by=tx)
+                if self.trace is not None:
+                    self.trace("deadlock_break", time=self.sim.now, tx=holder, by=tx)
                 if self._m is not None:
                     self._m.deadlock_breaks.inc()
                 return True
@@ -849,7 +854,8 @@ class RTDBSimulator:
         for op_index, label in tx.spec.node_schedule:
             if op_index == tx.op_index:
                 tx.node_label = label
-                self._trace("decision", tx=tx, node=label)
+                if self.trace is not None:
+                    self.trace("decision", time=self.sim.now, tx=tx, node=label)
 
     # ------------------------------------------------------------------
     # Commit / abort
@@ -872,7 +878,7 @@ class RTDBSimulator:
                 restarts=tx.restarts,
             )
         )
-        self._trace("commit", tx=tx)
+        self._trace("commit", tx)
         if self._m is not None:
             self._m.commits.inc()
             self._m.restart_counts.observe(tx.restarts)
@@ -914,7 +920,8 @@ class RTDBSimulator:
         victim.restart()
         self.total_restarts += 1
         self._plist_discard(victim)
-        self._trace("abort", tx=victim, by=wounded_by, cause=cause)
+        if self.trace is not None:
+            self.trace("abort", time=self.sim.now, tx=victim, by=wounded_by, cause=cause)
         for waiter in woken:
             if waiter.tid != wounded_by.tid:
                 self._wake_waiter(waiter)
@@ -923,7 +930,7 @@ class RTDBSimulator:
         if tx.state is TxState.LOCK_BLOCKED:
             tx.state = TxState.READY
             tx.blocked_on = None
-            self._trace("lock_wake", tx=tx)
+            self._trace("lock_wake", tx)
 
     # ------------------------------------------------------------------
     # P-list bookkeeping
@@ -946,9 +953,9 @@ class RTDBSimulator:
 
     # ------------------------------------------------------------------
 
-    def _trace(self, name: str, **fields) -> None:
+    def _trace(self, name: str, tx: Transaction) -> None:
         if self.trace is not None:
-            self.trace(name, time=self.sim.now, **fields)
+            self.trace(name, time=self.sim.now, tx=tx)
 
     def _trace_release(self, tx: Transaction, reason: str) -> None:
         """Emit ``lock_release`` for every lock ``tx`` still holds.

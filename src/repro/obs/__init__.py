@@ -1,14 +1,15 @@
-"""Observability: metrics registry, samplers, run manifests.
+"""Observability: metrics registry, sampler, profiler, run manifests.
 
-The subsystem has three pieces, each usable alone:
+The subsystem has five pieces, each usable alone:
 
 * :mod:`repro.obs.registry` — counters, gauges, fixed-bucket histograms
   with deterministic snapshot/merge semantics;
 * :mod:`repro.obs.hooks` — bindings that feed the registry from the
   simulator's hot path (:class:`SimulatorMetrics`) or from any trace
   stream (:class:`MetricsTraceHook`);
-* :mod:`repro.obs.sampler` — clock-driven time series of scheduler
-  state (queue depths, CPU utilization, restarts in flight);
+* :mod:`repro.obs.sampler` — a trace hook that folds either engine's
+  event stream into a time series of scheduler state (queue depths,
+  P-list size, CPU utilization, restarts);
 * :mod:`repro.obs.prof` — span profiler with Chrome-trace export,
   aggregate timers for kernel internals, and host provenance;
 * :mod:`repro.obs.manifest` — structured JSON provenance reports for

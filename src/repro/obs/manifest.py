@@ -44,10 +44,9 @@ from repro.obs.prof import timing_section
 #: was off).
 MANIFEST_SCHEMA_VERSION = 6
 
-#: Schema versions :func:`validate_manifest` accepts: the current one
-#: plus still-loadable older layouts (v3 manifests predate ``timing``,
-#: v3/v4 predate ``engine_fallbacks``, v3-v5 predate ``analysis``).
-ACCEPTED_SCHEMA_VERSIONS = (3, 4, 5, 6)
+#: Schema versions :func:`validate_manifest` accepts: only the current
+#: one, which every manifest writer in the package emits.
+ACCEPTED_SCHEMA_VERSIONS = (6,)
 
 #: Document type marker, so a manifest is self-identifying.
 MANIFEST_KIND = "repro-run-manifest"
@@ -276,14 +275,9 @@ def validate_manifest(manifest: Mapping) -> list[str]:
                         problems.append(
                             f"certification.cells[{index}] missing {key!r}"
                         )
-        if manifest["schema"] >= 4:
-            problems.extend(_validate_timing(manifest.get("timing")))
-        if manifest["schema"] >= 5:
-            problems.extend(
-                _validate_engine_fallbacks(manifest.get("engine_fallbacks"))
-            )
-        if manifest["schema"] >= 6:
-            problems.extend(_validate_analysis(manifest.get("analysis")))
+        problems.extend(_validate_timing(manifest.get("timing")))
+        problems.extend(_validate_engine_fallbacks(manifest.get("engine_fallbacks")))
+        problems.extend(_validate_analysis(manifest.get("analysis")))
     return problems
 
 

@@ -32,7 +32,6 @@ class EventCalendar:
         self._heap: list[tuple[float, int, Event]] = []
         self._sequence = 0
         self._live = 0
-        self._live_required = 0
 
     def __len__(self) -> int:
         """Number of live (non-cancelled) events."""
@@ -40,11 +39,6 @@ class EventCalendar:
 
     def __bool__(self) -> bool:
         return self._live > 0
-
-    @property
-    def required_count(self) -> int:
-        """Live non-daemon events — what keeps the engine's loop alive."""
-        return self._live_required
 
     def push(self, event: Event) -> Event:
         """Insert ``event`` and return it.
@@ -58,8 +52,6 @@ class EventCalendar:
         self._sequence = sequence + 1
         heapq.heappush(self._heap, (event.time, sequence, event))
         self._live += 1
-        if not event.daemon:
-            self._live_required += 1
         return event
 
     def pop(self) -> Optional[Event]:
@@ -72,8 +64,6 @@ class EventCalendar:
             event = heapq.heappop(heap)[2]
             if not event.cancelled:
                 self._live -= 1
-                if not event.daemon:
-                    self._live_required -= 1
                 return event
         return None
 
@@ -117,22 +107,17 @@ class EventCalendar:
             raise ValueError("reinsert is only for events that were pushed")
         heapq.heappush(self._heap, (event.time, event._sequence, event))
         self._live += 1
-        if not event.daemon:
-            self._live_required += 1
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` (no-op if already cancelled)."""
         if not event.cancelled:
             event.cancelled = True
             self._live -= 1
-            if not event.daemon:
-                self._live_required -= 1
 
     def clear(self) -> None:
         """Discard every event."""
         self._heap.clear()
         self._live = 0
-        self._live_required = 0
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate over live events in no particular order."""

@@ -8,7 +8,10 @@ Usage::
 
 The engine is single-threaded and synchronous; callbacks run inline as
 their events fire and may schedule or cancel further events.  Time never
-moves backwards (scheduling into the past raises).
+moves backwards (scheduling into the past raises).  A run ends when the
+calendar is empty: every event is simulation work, since observers (the
+time-series sampler among them) fold the simulators' trace stream
+instead of scheduling events of their own.
 """
 
 from __future__ import annotations
@@ -143,18 +146,11 @@ class Simulator:
         callback: Callable[[Event], None],
         kind: str = "event",
         payload: Any = None,
-        daemon: bool = False,
     ) -> Event:
-        """Schedule ``callback`` to run ``delay`` time units from now.
-
-        ``daemon`` events (e.g. observability samplers) fire normally
-        but do not keep :meth:`run` alive once all other events drain.
-        """
+        """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay}")
-        return self.schedule_at(
-            self.now + delay, callback, kind=kind, payload=payload, daemon=daemon
-        )
+        return self.schedule_at(self.now + delay, callback, kind=kind, payload=payload)
 
     def schedule_at(
         self,
@@ -162,16 +158,13 @@ class Simulator:
         callback: Callable[[Event], None],
         kind: str = "event",
         payload: Any = None,
-        daemon: bool = False,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        return self.calendar.push(
-            Event(time, callback, kind=kind, payload=payload, daemon=daemon)
-        )
+        return self.calendar.push(Event(time, callback, kind=kind, payload=payload))
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -221,10 +214,8 @@ class Simulator:
         instead of hanging its process.  ``max_memory_mb`` bounds
         resident memory at the same batched cadence
         (:class:`MemoryBudgetExceeded`) — the guard against cells that
-        would OOM their worker.  The loop also stops when only
-        daemon events remain — a self-rescheduling sampler cannot keep a
-        finished simulation alive or advance its clock past the last
-        real event.  ``profile`` attaches a span profiler whose counter
+        would OOM their worker.  The loop stops when the calendar is
+        empty.  ``profile`` attaches a span profiler whose counter
         tracks get a (sim time, events fired) sample every few hundred
         events — pure observation at the wall-clock guard's cadence,
         never feeding simulation state.
@@ -253,8 +244,6 @@ class Simulator:
             mem_limit = int(max_memory_mb * 1024 * 1024)
         try:
             while True:
-                if self.calendar.required_count == 0:
-                    break
                 next_time = self.calendar.peek_time()
                 if next_time is None:
                     break

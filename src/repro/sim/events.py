@@ -1,4 +1,7 @@
-"""The event record used by the calendar and the engine."""
+"""The event record used by the calendar and the engine.
+
+Every event is simulation work: observers never schedule events.
+"""
 
 from __future__ import annotations
 
@@ -13,15 +16,9 @@ class Event:
     same-time events fire in insertion order.  ``payload`` carries
     arbitrary user data (typically the transaction the event concerns)
     and ``kind`` is a short label used for tracing.
-
-    ``daemon`` events (observability samplers, periodic probes) fire
-    like any other event but never keep the event loop alive: the engine
-    stops once only daemon events remain.
     """
 
-    __slots__ = (
-        "time", "kind", "callback", "payload", "cancelled", "daemon", "_sequence"
-    )
+    __slots__ = ("time", "kind", "callback", "payload", "cancelled", "_sequence")
 
     def __init__(
         self,
@@ -29,7 +26,6 @@ class Event:
         callback: Callable[["Event"], None],
         kind: str = "event",
         payload: Any = None,
-        daemon: bool = False,
     ) -> None:
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
@@ -38,19 +34,7 @@ class Event:
         self.callback = callback
         self.payload = payload
         self.cancelled = False
-        self.daemon = daemon
         self._sequence: Optional[int] = None
-
-    def describe(self) -> dict[str, Any]:
-        """A JSON-ready summary of this event, for diagnostic records
-        (budget-abort progress, quarantine bundles).  Callbacks and
-        payloads stay out — they are neither serializable nor stable."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "daemon": self.daemon,
-            "cancelled": self.cancelled,
-        }
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "live"

@@ -108,6 +108,17 @@ class TestValidation:
         )
         manifest["schema"] = MANIFEST_SCHEMA_VERSION + 1
         assert validate_manifest(manifest)
+        # A v5 document (no analysis section): older layouts are no
+        # longer accepted.
+        v5 = build_manifest(
+            "fig4a", "quick", triples(), registry_with_data().snapshot()
+        )
+        del v5["analysis"]
+        v5["schema"] = 5
+        assert any(
+            problem.startswith("schema version 5 not in")
+            for problem in validate_manifest(v5)
+        )
 
     def test_flags_broken_metrics_block(self):
         manifest = build_manifest(
@@ -306,16 +317,8 @@ class TestTimingSection:
             "enabled is false" in p for p in validate_manifest(manifest)
         )
 
-    def test_v3_manifest_without_timing_still_validates(self):
-        manifest = build_manifest(
-            "fig4a", "quick", triples(), registry_with_data().snapshot()
-        )
-        del manifest["timing"]
-        manifest["schema"] = 3
-        assert validate_manifest(manifest) == []
-
     def test_accepted_versions_pinned(self):
-        assert ACCEPTED_SCHEMA_VERSIONS == (3, 4, 5, 6)
+        assert ACCEPTED_SCHEMA_VERSIONS == (6,)
 
 
 class TestEngineFallbacksSection:
@@ -373,14 +376,6 @@ class TestEngineFallbacksSection:
         assert any(
             "not an object" in p for p in validate_manifest(manifest)
         )
-
-    def test_v4_manifest_without_fallbacks_still_validates(self):
-        manifest = build_manifest(
-            "fig4a", "quick", triples(), registry_with_data().snapshot()
-        )
-        del manifest["engine_fallbacks"]
-        manifest["schema"] = 4
-        assert validate_manifest(manifest) == []
 
 
 class TestAnalysisSection:
@@ -468,20 +463,12 @@ class TestAnalysisSection:
         assert any("cells[0] is not an object" in p for p in problems)
         assert any("cells[1] missing 'predicted'" in p for p in problems)
 
-    def test_v5_manifest_without_analysis_still_validates(self):
-        manifest = build_manifest(
-            "fig4a", "quick", triples(), registry_with_data().snapshot()
-        )
-        del manifest["analysis"]
-        manifest["schema"] = 5
-        assert validate_manifest(manifest) == []
-
 
 class TestGoldenFixtures:
-    """Committed manifest documents: v6 (current) and older layouts.
+    """The committed manifest document of the current schema (v6).
 
-    These pin the on-disk layout — regenerating them is a conscious
-    schema change, not a side effect.
+    It pins the on-disk layout — regenerating it is a conscious schema
+    change, not a side effect.
     """
 
     DATA = Path(__file__).parent / "data"
@@ -501,31 +488,6 @@ class TestGoldenFixtures:
         assert analysis["cells"], "golden v6 must carry cell predictions"
         predicted = analysis["cells"][0]["predicted"]
         assert predicted["regime"] in {"light", "moderate", "saturated"}
-
-    def test_golden_v5_still_loads_and_validates(self):
-        doc = load_manifest(self.DATA / "manifest_v5.json")
-        assert doc["schema"] == 5
-        assert "analysis" not in doc
-        assert validate_manifest(doc) == []
-        assert len(doc["engine_fallbacks"]) == 1
-        record = doc["engine_fallbacks"][0]
-        assert record["engine"] == "reference"
-        assert record["sanitized"] is True
-        assert record["bundle"].startswith("results/quarantine/")
-
-    def test_golden_v4_still_loads_and_validates(self):
-        doc = load_manifest(self.DATA / "manifest_v4.json")
-        assert doc["schema"] == 4
-        assert "engine_fallbacks" not in doc
-        assert validate_manifest(doc) == []
-        assert doc["timing"]["enabled"] is True
-        assert "simulate" in doc["timing"]["stages"]
-
-    def test_golden_v3_still_loads_and_validates(self):
-        doc = load_manifest(self.DATA / "manifest_v3.json")
-        assert doc["schema"] == 3
-        assert "timing" not in doc
-        assert validate_manifest(doc) == []
 
 
 class TestWriteAndLoad:

@@ -10,8 +10,8 @@ Three contracts under test:
   shapes it claims to.
 * **Non-interference** — simulation results are bit-identical with a
   profiler (and kernel introspection) attached, on both engines, and
-  ``engine="auto"`` keeps the kernel under profiling while falling back
-  for samplers (the documented asymmetry).
+  ``engine="auto"`` keeps the kernel under profiling and time-series
+  sampling while falling back for sanitized runs.
 """
 
 from __future__ import annotations
@@ -263,8 +263,9 @@ class TestProfilingParity:
 
 
 class TestEngineAutoFallback:
-    """The documented ``engine="auto"`` asymmetry: profilers keep the
-    kernel selected; samplers force the reference engine."""
+    """The documented ``engine="auto"`` asymmetry: profilers and
+    samplers keep the kernel selected; RTSan forces the reference
+    engine."""
 
     def make(self, **kwargs):
         workload = generate_workload(CONFIG, seed=7)
@@ -276,11 +277,23 @@ class TestEngineAutoFallback:
         simulator = self.make(profile=SpanProfiler(), introspect=True)
         assert isinstance(simulator, KernelSimulator)
 
-    def test_sampler_falls_back_to_reference(self):
-        simulator = self.make(sampler=TimeSeriesSampler(interval=1.0))
-        assert isinstance(simulator, RTDBSimulator)
+    def test_sampler_keeps_the_kernel(self):
+        sampler = TimeSeriesSampler(interval=1.0)
+        simulator = self.make(trace=sampler)
+        assert isinstance(simulator, KernelSimulator)
+        reference_sampler = TimeSeriesSampler(interval=1.0)
+        reference = RTDBSimulator(
+            CONFIG,
+            generate_workload(CONFIG, seed=7),
+            make_policy("CCA", penalty_weight=CONFIG.penalty_weight),
+            trace=reference_sampler,
+        )
+        assert simulator.run() == reference.run()
+        assert len(sampler) > 0
+        assert sampler.samples == reference_sampler.samples
 
     def test_fallback_and_kernel_agree(self):
-        with_sampler = self.make(sampler=TimeSeriesSampler(interval=1.0))
+        sanitized = self.make(sanitize=True)
+        assert isinstance(sanitized, RTDBSimulator)
         with_profiler = self.make(profile=SpanProfiler())
-        assert with_sampler.run() == with_profiler.run()
+        assert sanitized.run() == with_profiler.run()
