@@ -19,6 +19,7 @@ number to watch.  Run with ``pytest benchmarks/test_obs_overhead.py
 from __future__ import annotations
 
 import time
+from statistics import median
 
 from repro.config import SimulationConfig
 from repro.core.policy import EDFPolicy
@@ -47,6 +48,9 @@ CONFIG = SimulationConfig(
 
 SEEDS = (1, 2, 3, 4, 5)
 
+#: Interleaved bare/treated rounds per measurement (odd: a true median).
+ROUNDS = 9
+
 
 def run_all(metrics=None, sampler_interval=None) -> float:
     """Total wall time of one simulator pass over every seed."""
@@ -64,26 +68,33 @@ def run_all(metrics=None, sampler_interval=None) -> float:
     return time.perf_counter() - started
 
 
-def paired_best(runs: int, **kwargs) -> tuple[float, float]:
-    """Minimum wall time of bare and treated passes, interleaved.
+def median_overhead(rounds: int, **kwargs) -> tuple[float, float, float]:
+    """Median bare and treated wall times, and the median overhead.
 
-    Alternating the two variants inside one loop keeps slow drift on a
-    shared machine (frequency scaling, noisy neighbours) from landing
-    on one side of the comparison; taking minima then discards the
-    remaining spikes.
+    Each round runs one bare and one treated pass back to back, the
+    order alternating between rounds, and yields one treated/bare
+    ratio.  Slow drift on a shared machine (frequency scaling, noisy
+    neighbours) then lands on both sides of each ratio alike, and the
+    median over rounds discards the remaining spikes.
     """
     run_all()  # warm-up: imports, allocator, branch caches
-    bare = min(run_all() for _ in range(1))
-    treated = float("inf")
-    for _ in range(runs):
-        bare = min(bare, run_all())
-        treated = min(treated, run_all(**kwargs))
-    return bare, treated
+    bare: list[float] = []
+    treated: list[float] = []
+    for round_index in range(rounds):
+        if round_index % 2:
+            treated.append(run_all(**kwargs))
+            bare.append(run_all())
+        else:
+            bare.append(run_all())
+            treated.append(run_all(**kwargs))
+    ratios = [t / b for b, t in zip(bare, treated)]
+    return median(bare), median(treated), median(ratios) - 1.0
 
 
 def test_metrics_overhead_within_budget():
-    bare, instrumented = paired_best(3, metrics=MetricsRegistry())
-    overhead = instrumented / bare - 1.0
+    bare, instrumented, overhead = median_overhead(
+        ROUNDS, metrics=MetricsRegistry()
+    )
     print(
         f"\nbare={bare * 1000:.1f}ms instrumented={instrumented * 1000:.1f}ms "
         f"overhead={overhead * 100:+.1f}% (budget {OVERHEAD_BUDGET * 100:.0f}%)"
@@ -94,8 +105,7 @@ def test_metrics_overhead_within_budget():
 def test_sampler_overhead_within_budget():
     # interval=500 sim-ms gives ~85 samples per seed on this workload
     # (makespan ~42 000) — ample resolution for a time-series plot.
-    bare, sampled = paired_best(3, sampler_interval=500.0)
-    overhead = sampled / bare - 1.0
+    bare, sampled, overhead = median_overhead(ROUNDS, sampler_interval=500.0)
     print(
         f"\nbare={bare * 1000:.1f}ms sampled={sampled * 1000:.1f}ms "
         f"overhead={overhead * 100:+.1f}%"

@@ -27,13 +27,10 @@ contract: exit 0 when every verdict passes, 1 on any failure, 2 on
 usage errors.  See ``docs/ANALYZE.md``.
 """
 
-from repro.analyze.rules import all_rules, get_rule
 from repro.analyze.runner import AnalysisResult, Verdict, analyze_experiment
 
 __all__ = [
     "AnalysisResult",
     "Verdict",
-    "all_rules",
     "analyze_experiment",
-    "get_rule",
 ]

@@ -20,20 +20,21 @@ errors — the same contract as ``repro lint`` and ``repro certify``.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analyze.equivalence import MUTATION_KINDS, parse_mutation
+from repro.analyze.equivalence import MUTATION_KINDS, MaskMutation, parse_mutation
 from repro.analyze.report import render_json, render_text
-from repro.analyze.rules import all_rules
-from repro.checks.report import (
-    EXIT_USAGE,
-    add_list_rules_flag,
-    handle_list_rules,
-    print_report,
-    verdict_exit_code,
+from repro.analyze.runner import AnalysisResult, analyze_experiment, analyze_specs
+from repro.checks.cli_core import (
+    Report,
+    UsageError,
+    add_experiment_argument,
+    add_report_arguments,
+    add_scale_argument,
+    check_main,
 )
+from repro.experiments.config import ExperimentScale
 
 
 def build_analyze_parser() -> argparse.ArgumentParser:
@@ -49,10 +50,8 @@ def build_analyze_parser() -> argparse.ArgumentParser:
             "docs/ANALYZE.md."
         ),
     )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default=None,
+    add_experiment_argument(
+        parser,
         help=(
             "paper experiment to analyze (e.g. fig4a, table1); omit "
             "when analyzing a saved workload via --workload"
@@ -75,12 +74,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
             "the largest item accessed)"
         ),
     )
-    parser.add_argument(
-        "--scale",
-        choices=["quick", "default", "full"],
-        default=None,
-        help="run scale (default: $REPRO_SCALE or 'default')",
-    )
+    add_scale_argument(parser)
     parser.add_argument(
         "--cells",
         action=argparse.BooleanOptionalAction,
@@ -101,98 +95,58 @@ def build_analyze_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
         help="show per-verdict detail and per-cell predictions",
     )
-    add_list_rules_flag(parser, what="analysis rule")
+    add_report_arguments(parser, what="analysis rule")
     return parser
 
 
 def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_analyze_parser().parse_args(
-        list(argv) if argv is not None else None
-    )
-    catalog_exit = handle_list_rules(args, all_rules())
-    if catalog_exit is not None:
-        return catalog_exit
+    return check_main(build_analyze_parser(), "ANA", _analyze, argv)
 
+
+def _analyze(args: argparse.Namespace) -> Report:
     mutation = None
     if args.mutate is not None:
         try:
             mutation = parse_mutation(args.mutate)
         except ValueError as exc:
-            print(f"error: --mutate: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"--mutate: {exc}") from None
 
     if args.workload is not None:
         result = _analyze_workload_file(args, mutation)
     elif args.experiment is not None:
-        result = _analyze_experiment(args, mutation)
+        result = analyze_experiment(
+            args.experiment,
+            ExperimentScale.named(args.scale),
+            mutation=mutation,
+            predict_cells=args.cells,
+        )
     else:
-        print(
-            "error: an experiment id (or --workload FILE) is required",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if result is None:
-        return EXIT_USAGE
-
-    report = (
-        render_json(result)
-        if args.format == "json"
-        else render_text(result, verbose=args.verbose)
-    )
-    print_report(report)
-    return verdict_exit_code(result.clean)
-
-
-def _analyze_experiment(args, mutation):
-    from repro.analyze.runner import analyze_experiment
-    from repro.cli import _resolve_scale
-    from repro.experiments.figures import FIGURE_SWEEPS
-
-    if args.experiment not in FIGURE_SWEEPS:
-        print(
-            f"error: unknown experiment {args.experiment!r}; "
-            f"known: {', '.join(sorted(FIGURE_SWEEPS))}",
-            file=sys.stderr,
-        )
-        return None
-    return analyze_experiment(
-        args.experiment,
-        _resolve_scale(args.scale),
-        mutation=mutation,
-        predict_cells=args.cells,
+        raise UsageError("an experiment id (or --workload FILE) is required")
+    return Report(
+        result.clean,
+        lambda: render_text(result, verbose=args.verbose),
+        lambda: render_json(result),
     )
 
 
-def _analyze_workload_file(args, mutation):
-    from repro.analyze.runner import analyze_specs
+def _analyze_workload_file(
+    args: argparse.Namespace, mutation: Optional[MaskMutation]
+) -> AnalysisResult:
     from repro.workload.serialization import load_workload
 
     if not args.workload.exists():
-        print(f"error: no such file: {args.workload}", file=sys.stderr)
-        return None
+        raise UsageError(f"no such file: {args.workload}")
     try:
         specs = load_workload(args.workload)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise UsageError(str(exc)) from None
     if args.db_size is not None and args.db_size < 1:
-        print(
-            f"error: --db-size must be >= 1, got {args.db_size}",
-            file=sys.stderr,
-        )
-        return None
+        raise UsageError(f"--db-size must be >= 1, got {args.db_size}")
     try:
         return analyze_specs(specs, db_size=args.db_size, mutation=mutation)
     except (IndexError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise UsageError(str(exc)) from None

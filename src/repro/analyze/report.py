@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.analyze.feasibility import CellPrediction, classify_regime
 from repro.analyze.runner import AnalysisResult
-from repro.checks.report import json_envelope
+from repro.checks.cli_core import json_envelope
 
 #: Version of the JSON report layout.  Bump on breaking changes.
 JSON_SCHEMA_VERSION = 1

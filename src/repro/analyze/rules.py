@@ -1,51 +1,17 @@
-"""The static-analysis rule registry: ``ANAnnn`` codes and rationale.
+"""The static-analysis rules: ``ANAnnn`` codes and rationale.
 
-Mirrors :mod:`repro.checks.rules` (the linter) and
-:mod:`repro.certify.rules` (the certifier): every verdict ``repro
-analyze`` can emit is declared here with a stable code, and the
-registry feeds ``--list-rules``, the JSON reporter and
-``docs/ANALYZE.md``.
+Every verdict ``repro analyze`` can emit is declared here with a stable
+code and registered in the one rule catalog
+(:mod:`repro.checks.rules`), which feeds ``--list-rules``, the JSON
+reporter and ``docs/ANALYZE.md``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-
-@dataclasses.dataclass(frozen=True)
-class AnalysisRule:
-    """One analysis pass: a stable code plus what it proves."""
-
-    code: str
-    name: str
-    summary: str
-    """One line, shown next to each verdict."""
-    rationale: str
-    """What the pass establishes and why it matters (docs)."""
-
-
-_REGISTRY: dict[str, AnalysisRule] = {}
-
-
-def register(rule: AnalysisRule) -> AnalysisRule:
-    if rule.code in _REGISTRY:
-        raise ValueError(f"duplicate rule code {rule.code}")
-    _REGISTRY[rule.code] = rule
-    return rule
-
-
-def all_rules() -> tuple[AnalysisRule, ...]:
-    """Every registered rule, in code order."""
-    return tuple(_REGISTRY[code] for code in sorted(_REGISTRY))
-
-
-def get_rule(code: str) -> AnalysisRule:
-    """The rule registered under ``code`` (KeyError if unknown)."""
-    return _REGISTRY[code]
-
+from repro.checks.rules import Rule, register
 
 ANA001 = register(
-    AnalysisRule(
+    Rule(
         code="ANA001",
         name="conflict-mask-equivalence",
         summary="SpecMasks conflict tables match the reference SetOracle",
@@ -65,7 +31,7 @@ ANA001 = register(
 )
 
 ANA002 = register(
-    AnalysisRule(
+    Rule(
         code="ANA002",
         name="safety-mask-equivalence",
         summary="flat_safety matches SetOracle.safety in every access state",
@@ -82,7 +48,7 @@ ANA002 = register(
 )
 
 ANA003 = register(
-    AnalysisRule(
+    Rule(
         code="ANA003",
         name="state-table-equivalence",
         summary="StateTable matrices match freshly recomputed tree relations",
@@ -99,7 +65,7 @@ ANA003 = register(
 )
 
 ANA004 = register(
-    AnalysisRule(
+    Rule(
         code="ANA004",
         name="relation-laws",
         summary="conflict is symmetric; no conflict implies safe",
@@ -115,7 +81,7 @@ ANA004 = register(
 )
 
 ANA005 = register(
-    AnalysisRule(
+    Rule(
         code="ANA005",
         name="static-feasibility",
         summary="every deadline covers the transaction's isolated run time",
@@ -131,7 +97,7 @@ ANA005 = register(
 )
 
 ANA006 = register(
-    AnalysisRule(
+    Rule(
         code="ANA006",
         name="graph-metric-consistency",
         summary="conflict-graph metrics are internally consistent",

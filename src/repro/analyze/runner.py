@@ -26,21 +26,13 @@ from repro.analyze.equivalence import (
 )
 from repro.analyze.feasibility import CellPrediction, predict_cell, predict_specs
 from repro.analyze.graph import ConflictGraph, GraphMetrics
-from repro.analyze.rules import all_rules, get_rule
+from repro.checks.rules import all_rules, get_rule
 from repro.config import SimulationConfig
 from repro.core.masks import SpecMasks, StateTable
-from repro.experiments.config import (
-    DISK_BASE,
-    MAIN_MEMORY_BASE,
-    ExperimentScale,
-)
-from repro.experiments.figures import FIGURE_SWEEPS, experiment_cells
+from repro.experiments.config import ExperimentScale
+from repro.experiments.figures import TABLE_BASES, experiment_cells, sample_cell
 from repro.rtdb.transaction import TransactionSpec
 from repro.workload.generator import generate_workload
-
-#: Base configuration behind each sweep-less experiment.
-_TABLE_BASES = {"table1": MAIN_MEMORY_BASE, "table2": DISK_BASE}
-
 
 @dataclasses.dataclass(frozen=True)
 class Verdict:
@@ -269,38 +261,24 @@ def analyze_workload(
             ),
         )
     )
-    assert [v.code for v in verdicts] == [r.code for r in all_rules()]
+    assert [v.code for v in verdicts] == [r.code for r in all_rules("ANA")]
     return verdicts, graph, metrics
-
-
-def _sample_point(
-    experiment: str, scale: ExperimentScale
-) -> tuple[float, int, SimulationConfig]:
-    """The deterministic verdict sample: middle x, first seed."""
-    base = _TABLE_BASES.get(experiment)
-    if base is not None and not FIGURE_SWEEPS.get(experiment):
-        config = scale.scale_config(base)
-        return config.arrival_rate, scale.seeds_for(base)[0], config
-    cells = experiment_cells(experiment, scale)
-    xs = sorted({cell.x for cell in cells})
-    mid_x = xs[len(xs) // 2]
-    template = next(cell for cell in cells if cell.x == mid_x)
-    return template.x, template.seed, template.config
 
 
 def _cell_points(
     experiment: str, scale: ExperimentScale
 ) -> list[tuple[float, int, SimulationConfig]]:
     """Every (x, seed) workload of the sweep, policies deduplicated."""
-    base = _TABLE_BASES.get(experiment)
-    if base is not None and not FIGURE_SWEEPS.get(experiment):
+    cells = experiment_cells(experiment, scale)
+    if not cells:
+        base = TABLE_BASES[experiment]
         config = scale.scale_config(base)
         return [
             (config.arrival_rate, seed, config)
             for seed in scale.seeds_for(base)
         ]
     points: dict[tuple[float, int], SimulationConfig] = {}
-    for cell in experiment_cells(experiment, scale):
+    for cell in cells:
         points.setdefault((cell.x, cell.seed), cell.config)
     return [(x, seed, config) for (x, seed), config in sorted(points.items())]
 
@@ -312,12 +290,8 @@ def analyze_experiment(
     predict_cells: bool = True,
 ) -> AnalysisResult:
     """Verdict passes on the sample workload plus per-cell predictions."""
-    if experiment not in FIGURE_SWEEPS:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; "
-            f"known: {', '.join(sorted(FIGURE_SWEEPS))}"
-        )
-    sample_x, sample_seed, config = _sample_point(experiment, scale)
+    sample = sample_cell(experiment, scale)
+    sample_x, sample_seed, config = sample.x, sample.seed, sample.config
     specs = generate_workload(config, sample_seed)
     verdicts, _, metrics = analyze_workload(
         specs, config.db_size, mutation=mutation

@@ -12,15 +12,12 @@ from repro.certify.certifier import (
     certify_events,
 )
 from repro.certify.history import History, Incarnation, parse_history
-from repro.certify.rules import CertRule, all_rules
 
 __all__ = [
-    "CertRule",
     "CertificationResult",
     "History",
     "Incarnation",
     "Violation",
-    "all_rules",
     "certify_events",
     "parse_history",
 ]

@@ -36,7 +36,7 @@ from repro.certify.history import (
     Incarnation,
     parse_history,
 )
-from repro.certify.rules import all_rules
+from repro.checks.rules import all_rules
 from repro.rtdb.transaction import TransactionSpec
 
 _EPS = 1e-9
@@ -175,7 +175,7 @@ def certify_events(
     _check_safety_soundness(history, specs, oracle, violations)
 
     checked = tuple(
-        rule.code for rule in all_rules() if rule.code not in skipped
+        rule.code for rule in all_rules("CERT") if rule.code not in skipped
     )
     violations.sort(key=lambda v: (v.time if v.time is not None else -1.0, v.code, v.tids))
     return CertificationResult(

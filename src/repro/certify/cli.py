@@ -27,13 +27,13 @@ from repro.certify.report import (
     render_json,
     render_text,
 )
-from repro.certify.rules import all_rules
-from repro.checks.report import (
-    EXIT_USAGE,
-    add_list_rules_flag,
-    handle_list_rules,
-    print_report,
-    verdict_exit_code,
+from repro.checks.cli_core import (
+    Report,
+    UsageError,
+    add_experiment_argument,
+    add_report_arguments,
+    add_scale_argument,
+    check_main,
 )
 
 
@@ -47,10 +47,8 @@ def build_certify_parser() -> argparse.ArgumentParser:
             "soundness (CERT005-006).  See docs/CERTIFY.md."
         ),
     )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default=None,
+    add_experiment_argument(
+        parser,
         help=(
             "paper experiment to certify a cell sample of (e.g. fig4a, "
             "table1); omit when certifying a saved trace via --events"
@@ -76,12 +74,7 @@ def build_certify_parser() -> argparse.ArgumentParser:
             "trace under --events"
         ),
     )
-    parser.add_argument(
-        "--scale",
-        choices=["quick", "default", "full"],
-        default=None,
-        help="run scale (default: $REPRO_SCALE or 'default')",
-    )
+    add_scale_argument(parser)
     parser.add_argument(
         "--events",
         type=Path,
@@ -126,35 +119,23 @@ def build_certify_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-cell wall-clock budget for the re-simulation",
     )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (default: text)",
-    )
-    add_list_rules_flag(parser, what="certifier rule")
+    add_report_arguments(parser, what="certifier rule")
     return parser
 
 
 def certify_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_certify_parser().parse_args(
-        list(argv) if argv is not None else None
-    )
-    catalog_exit = handle_list_rules(args, all_rules())
-    if catalog_exit is not None:
-        return catalog_exit
+    return check_main(build_certify_parser(), "CERT", _certify, argv)
+
+
+def _certify(args: argparse.Namespace) -> Report:
     if args.events is not None:
         return _certify_offline(args)
     if args.experiment is None:
-        print(
-            "error: an experiment id (or --events FILE) is required",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise UsageError("an experiment id (or --events FILE) is required")
     return _certify_experiment(args)
 
 
-def _certify_offline(args) -> int:
+def _certify_offline(args: argparse.Namespace) -> Report:
     """Certify a saved (events, workload) pair without simulating.
 
     The event file is consumed as a lazy stream (one record in memory
@@ -166,15 +147,10 @@ def _certify_offline(args) -> int:
     from repro.certify.certifier import certify_events
 
     if args.workload is None or args.policy is None:
-        print(
-            "error: --events requires --workload FILE and --policy NAME",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise UsageError("--events requires --workload FILE and --policy NAME")
     for path in (args.events, args.workload):
         if not path.exists():
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"no such file: {path}")
     try:
         workload = load_workload(args.workload)
         result = certify_events(
@@ -184,73 +160,31 @@ def _certify_offline(args) -> int:
             penalty_weight=args.penalty_weight,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = (
-        render_json(result)
-        if args.format == "json"
-        else render_text(result)
+        raise UsageError(str(exc)) from None
+    return Report(
+        result.certified, lambda: render_text(result), lambda: render_json(result)
     )
-    print_report(report)
-    return verdict_exit_code(result.certified)
 
 
-def _certify_experiment(args) -> int:
+def _certify_experiment(args: argparse.Namespace) -> Report:
     """Re-simulate and certify experiment cells."""
-    from repro.cli import _resolve_scale
-    from repro.certify.runner import (
-        DEFAULT_POLICIES,
-        certify_cell,
-        default_cells,
-        find_cell,
-    )
-    from repro.experiments.figures import FIGURE_SWEEPS
+    from repro.certify.runner import DEFAULT_POLICIES, certify_cell, default_cells
+    from repro.experiments.config import ExperimentScale
+    from repro.experiments.figures import resolve_cell
 
-    if args.experiment not in FIGURE_SWEEPS:
-        print(
-            f"error: unknown experiment {args.experiment!r}; "
-            f"known: {', '.join(sorted(FIGURE_SWEEPS))}",
-            file=sys.stderr,
+    scale = ExperimentScale.named(args.scale)
+    if args.cell is not None:
+        cells = [resolve_cell(args.experiment, scale, args.cell)]
+    else:
+        policies = (
+            [p.strip() for p in args.policy.split(",") if p.strip()]
+            if args.policy is not None
+            else DEFAULT_POLICIES
         )
-        return EXIT_USAGE
-    scale = _resolve_scale(args.scale)
-    try:
-        if args.cell is not None:
-            parts = args.cell.split(",")
-            if len(parts) != 3:
-                print(
-                    f"error: --cell must be X,SEED,POLICY, got {args.cell!r}",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            try:
-                want_x, want_seed = float(parts[0]), int(parts[1])
-            except ValueError:
-                print(
-                    "error: --cell X must be a number and SEED an "
-                    f"integer, got {args.cell!r}",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            cell = find_cell(
-                args.experiment, scale, want_x, want_seed, parts[2].strip()
-            )
-            if cell is None:
-                _print_cell_choices(
-                    args.experiment, scale, want_x, want_seed
-                )
-                return EXIT_USAGE
-            cells = [cell]
-        else:
-            policies = (
-                [p.strip() for p in args.policy.split(",") if p.strip()]
-                if args.policy is not None
-                else DEFAULT_POLICIES
-            )
+        try:
             cells = default_cells(args.experiment, scale, policies)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     samples = [
         certify_cell(
@@ -267,9 +201,8 @@ def _certify_experiment(args) -> int:
             f"[certify: trace streams spilled under {args.stream}]",
             file=sys.stderr,
         )
-    if args.format == "json":
-        print_report(render_cells_json(args.experiment, scale.name, samples))
-    else:
+
+    def text() -> str:
         blocks = []
         for sample in samples:
             header = (
@@ -278,40 +211,12 @@ def _certify_experiment(args) -> int:
                 f"(scale={scale.name}) =="
             )
             blocks.append(header + "\n" + render_text(sample.result))
-        print_report("\n\n".join(blocks))
-    return verdict_exit_code(
-        all(sample.result.certified for sample in samples)
-    )
+        return "\n\n".join(blocks)
 
-
-def _print_cell_choices(experiment, scale, want_x, want_seed) -> None:
-    """Spell out the valid (x, seed) grid instead of a bare failure.
-
-    The policy axis is open (any policy certifies at any cell), so only
-    the sweep's own policies are listed, as a hint.
-    """
-    from repro.experiments.figures import experiment_cells
-
-    print(
-        f"error: no cell at x={want_x:g} seed={want_seed} in "
-        f"{experiment} at scale={scale.name}",
-        file=sys.stderr,
-    )
-    cells = experiment_cells(experiment, scale)
-    xs = sorted({cell.x for cell in cells})
-    seeds = sorted({cell.seed for cell in cells})
-    policies = sorted({cell.policy for cell in cells})
-    print(
-        "  x values: " + ", ".join(f"{x:g}" for x in xs), file=sys.stderr
-    )
-    print(
-        "  seeds:    " + ", ".join(str(seed) for seed in seeds),
-        file=sys.stderr,
-    )
-    print(
-        "  policies: " + ", ".join(policies)
-        + "  (any policy name is accepted)",
-        file=sys.stderr,
+    return Report(
+        all(sample.result.certified for sample in samples),
+        text,
+        lambda: render_cells_json(args.experiment, scale.name, samples),
     )
 
 

@@ -8,8 +8,8 @@ smoke step and the sweep manifest).
 from __future__ import annotations
 
 from repro.certify.certifier import CertificationResult
-from repro.certify.rules import all_rules
-from repro.checks.report import json_envelope
+from repro.checks.cli_core import json_envelope
+from repro.checks.rules import all_rules
 
 #: Version of the JSON report layout.  Bump on breaking changes.
 JSON_SCHEMA_VERSION = 1
@@ -23,7 +23,7 @@ def render_text(result: CertificationResult, verbose: bool = False) -> str:
         f"{result.n_committed} committed, {result.n_wounds} wounds"
     ]
     by_rule = result.violations_by_rule()
-    for rule in all_rules():
+    for rule in all_rules("CERT"):
         if rule.code in result.skipped:
             status = f"SKIP ({result.skipped[rule.code]})"
         elif rule.code in by_rule:

@@ -8,71 +8,48 @@ counterexample format.
 
 from __future__ import annotations
 
-import dataclasses
+from repro.checks.rules import Rule, register
 
-
-@dataclasses.dataclass(frozen=True)
-class CertRule:
-    """One certifier rule: a code, a name, and what it certifies."""
-
-    code: str
-    name: str
-    summary: str
-
-
-_RULES = (
-    CertRule(
+for _rule in (
+    Rule(
         "CERT001",
         "serializable",
         "The conflict graph over committed transactions is acyclic; "
         "the history has an equivalent serial order.",
     ),
-    CertRule(
+    Rule(
         "CERT002",
         "strict-2pl",
         "Every incarnation acquires all locks before its single "
         "all-at-end release, holds them to commit/abort/drop, and "
         "conflicting holds never overlap.",
     ),
-    CertRule(
+    Rule(
         "CERT003",
         "conflicts-resolved",
         "Every lock wait names actual holders and is resolved (wake or "
         "victim death); pre-analysis policies never wait (Theorem 1).",
     ),
-    CertRule(
+    Rule(
         "CERT004",
         "wound-priority-order",
         "Under statically recomputable policies every wound flows from "
         "a higher-priority transaction to a lower one (High Priority), "
         "except explicit deadlock breaks.",
     ),
-    CertRule(
+    Rule(
         "CERT005",
         "conflict-prediction-sound",
         "Accesses stay inside declared read/write sets, and every "
         "runtime conflict (wait, wound, conflicting co-access) was "
         "predicted possible by the conflict relation.",
     ),
-    CertRule(
+    Rule(
         "CERT006",
         "safety-prediction-sound",
         "Every rollback (except deadlock breaks) lands on a victim the "
         "safety relation called unsafe/conditionally unsafe wrt its "
         "wounder — rollbacks never surprise the pre-analysis.",
     ),
-)
-
-_BY_CODE = {rule.code: rule for rule in _RULES}
-
-
-def all_rules() -> tuple[CertRule, ...]:
-    """The full catalog, in code order."""
-    return _RULES
-
-
-def rule(code: str) -> CertRule:
-    try:
-        return _BY_CODE[code]
-    except KeyError:
-        raise ValueError(f"unknown certifier rule {code!r}") from None
+):
+    register(_rule)

@@ -20,14 +20,11 @@ from typing import Optional, Sequence
 from repro.core.policy import make_policy
 from repro.certify.certifier import CertificationResult, certify_events
 from repro.core.simulator import SimulationResult
-from repro.experiments.config import DISK_BASE, MAIN_MEMORY_BASE, ExperimentScale
-from repro.experiments.figures import FIGURE_SWEEPS, experiment_cells
+from repro.experiments.config import ExperimentScale
+from repro.experiments.figures import sample_cell
 from repro.experiments.parallel import CellOptions, CellOutcome, SweepCell, run_cell
 from repro.obs.registry import MetricsRegistry
 from repro.tracing import EventLog
-
-#: Base configuration behind each sweep-less experiment.
-_TABLE_BASES = {"table1": MAIN_MEMORY_BASE, "table2": DISK_BASE}
 
 #: The acceptance matrix: one cell per policy in the default sample.
 DEFAULT_POLICIES = ("EDF-HP", "EDF-Wait", "CCA")
@@ -67,47 +64,13 @@ def default_cells(
     certifier question is well-posed for any policy at any cell).
     ``table1``/``table2`` synthesize the base-parameter cell.
     """
-    canonical = [
-        make_policy(name, penalty_weight=1.0).name for name in policies
-    ]
-    base = _TABLE_BASES.get(experiment)
-    if base is not None and not FIGURE_SWEEPS.get(experiment):
-        config = scale.scale_config(base)
-        seed = scale.seeds_for(base)[0]
-        return [
-            SweepCell(
-                x=config.arrival_rate, policy=name, seed=seed, config=config
-            )
-            for name in canonical
-        ]
-    cells = experiment_cells(experiment, scale)
-    xs = sorted({cell.x for cell in cells})
-    mid_x = xs[len(xs) // 2]
-    template = next(cell for cell in cells if cell.x == mid_x)
+    sample = sample_cell(experiment, scale)
     return [
-        dataclasses.replace(template, policy=name) for name in canonical
+        dataclasses.replace(
+            sample, policy=make_policy(name, penalty_weight=1.0).name
+        )
+        for name in policies
     ]
-
-
-def find_cell(
-    experiment: str,
-    scale: ExperimentScale,
-    x: float,
-    seed: int,
-    policy: str,
-) -> Optional[SweepCell]:
-    """The sweep cell at ``(x, seed)`` under ``policy``.
-
-    The policy need not be in the sweep's own matrix — any policy can
-    be certified at any (x, seed) point; the axis point and seed must
-    exist though, so the workload is one the experiment actually runs.
-    """
-    cells = experiment_cells(experiment, scale)
-    canonical = make_policy(policy, penalty_weight=1.0).name
-    for cell in cells:
-        if cell.x == x and cell.seed == seed:
-            return dataclasses.replace(cell, policy=canonical)
-    return None
 
 
 def stream_path_for(

@@ -19,17 +19,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.checks.cli_core import Report, UsageError, add_report_arguments, check_main
 from repro.checks.linter import lint_paths
-from repro.checks.report import (
-    EXIT_USAGE,
-    add_list_rules_flag,
-    handle_list_rules,
-    print_report,
-    render_json,
-    render_text,
-    verdict_exit_code,
-)
-from repro.checks.rules import all_rules
+from repro.checks.report import render_json, render_text
 
 
 def default_lint_root() -> Path:
@@ -58,12 +50,6 @@ def build_lint_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: the repro package)",
     )
     parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         metavar="CODES",
@@ -74,38 +60,31 @@ def build_lint_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also list findings silenced by # repro: allow[...]",
     )
-    add_list_rules_flag(parser)
+    add_report_arguments(parser)
     return parser
 
 
 def lint_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_lint_parser().parse_args(
-        list(argv) if argv is not None else None
-    )
-    catalog_exit = handle_list_rules(args, all_rules())
-    if catalog_exit is not None:
-        return catalog_exit
+    return check_main(build_lint_parser(), "DET", _lint, argv)
+
+
+def _lint(args: argparse.Namespace) -> Report:
     select = None
     if args.select is not None:
         select = [code.strip() for code in args.select.split(",") if code.strip()]
     paths = args.paths if args.paths else [default_lint_root()]
     missing = [path for path in paths if not path.exists()]
     if missing:
-        for path in missing:
-            print(f"error: no such path: {path}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"no such path: {', '.join(map(str, missing))}")
     try:
         result = lint_paths(paths, select)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = (
-        render_json(result)
-        if args.format == "json"
-        else render_text(result, verbose=args.show_suppressed)
+        raise UsageError(str(exc)) from None
+    return Report(
+        result.clean,
+        lambda: render_text(result, verbose=args.show_suppressed),
+        lambda: render_json(result),
     )
-    print_report(report)
-    return verdict_exit_code(result.clean)
 
 
 if __name__ == "__main__":

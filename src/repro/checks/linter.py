@@ -217,14 +217,14 @@ def applicable_rules(path: Path) -> tuple[Rule, ...]:
         if part == "repro":
             anchor = index
     if anchor is None or anchor + 1 >= len(parts):
-        return all_rules()
+        return all_rules("DET")
     head = parts[anchor + 1]
     if head in SIM_PATH_DIRS:
-        return all_rules()
+        return all_rules("DET")
     if head == EXPERIMENTS_DIR:
         return ()
     return tuple(
-        rule for rule in all_rules() if rule.scope is Scope.NON_EXPERIMENTS
+        rule for rule in all_rules("DET") if rule.scope is Scope.NON_EXPERIMENTS
     )
 
 
@@ -693,7 +693,9 @@ def lint_paths(
     output is stable across filesystems.
     """
     if select is not None:
-        unknown = [code for code in select if not is_known(code)]
+        unknown = [
+            code for code in select if not (code.startswith("DET") and is_known(code))
+        ]
         if unknown:
             raise ValueError(f"unknown rule code(s): {', '.join(unknown)}")
     result = LintResult()

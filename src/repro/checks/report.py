@@ -23,102 +23,13 @@ integrations parse it, and ``tests/checks/test_lint_cli.py`` pins it:
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-from typing import Any, Iterable, Mapping, Optional
 
 from repro.checks.linter import LintResult
 from repro.checks.rules import all_rules
 
 #: Bump when the JSON reporter's shape changes incompatibly.
 JSON_SCHEMA_VERSION = 1
-
-# ---------------------------------------------------------------------------
-# Shared CLI scaffolding — the contract every check CLI follows
-# ---------------------------------------------------------------------------
-#
-# ``repro lint``, ``repro certify`` and ``repro analyze`` all expose the
-# same surface: a ``--format text|json`` switch, a versioned JSON
-# envelope, a broken-pipe-safe report printer, and the 0/1/2 exit
-# mapping (clean / findings / usage error).  The helpers below are that
-# contract in one place.
-
-#: The three-way exit contract shared by every check CLI.
-EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE = 0, 1, 2
-
-
-def verdict_exit_code(clean: bool) -> int:
-    """Map a check verdict onto the shared exit contract."""
-    return EXIT_CLEAN if clean else EXIT_FINDINGS
-
-
-def print_report(text: str) -> None:
-    """Print a report, tolerating a closed downstream pipe.
-
-    When a pager or ``head`` closes the pipe early the exit status still
-    carries the verdict, so the report body is best-effort.
-    """
-    try:
-        print(text)
-    except BrokenPipeError:
-        sys.stderr.close()
-
-
-def json_envelope(kind: str, schema: int, payload: Mapping[str, Any]) -> str:
-    """Serialize a payload inside the self-identifying JSON envelope.
-
-    Every check CLI's machine output leads with ``kind`` (the document
-    type) and ``schema`` (its pinned version) so consumers can dispatch
-    and refuse layouts they do not understand.
-    """
-    document = {"kind": kind, "schema": schema, **payload}
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-def render_catalog(rules: Iterable[Any]) -> str:
-    """The ``--list-rules`` catalog: code, name, summary per rule.
-
-    ``rules`` is any iterable of objects with ``code``/``name``/
-    ``summary`` attributes (lint, certify, and analyze rules all carry
-    them); rules that also carry a ``scope`` get it shown inline.
-    """
-    lines = []
-    for rule in rules:
-        scope = getattr(rule, "scope", None)
-        tag = f" [{scope.value}]" if scope is not None else ""
-        lines.append(f"{rule.code}  {rule.name:<26}{tag}\n        {rule.summary}")
-    return "\n".join(lines)
-
-
-def add_list_rules_flag(
-    parser: argparse.ArgumentParser, what: str = "rule"
-) -> None:
-    """Register the shared ``--list-rules`` flag on a check CLI parser.
-
-    Every check CLI (lint, certify, analyze, mc) exposes the same
-    catalog escape hatch; registering it here keeps flag name and help
-    wording identical everywhere.
-    """
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help=f"print the {what} catalog and exit",
-    )
-
-
-def handle_list_rules(args: argparse.Namespace, rules: Iterable[Any]) -> Optional[int]:
-    """The shared ``--list-rules`` short-circuit.
-
-    Returns :data:`EXIT_CLEAN` when the flag was given (after printing
-    the catalog), ``None`` otherwise — callers write
-    ``if (code := handle_list_rules(args, all_rules())) is not None:
-    return code`` and carry on.
-    """
-    if getattr(args, "list_rules", False):
-        print_report(render_catalog(rules))
-        return EXIT_CLEAN
-    return None
 
 
 def render_text(result: LintResult, verbose: bool = False) -> str:
@@ -162,9 +73,9 @@ def render_json(result: LintResult) -> str:
             rule.code: {
                 "name": rule.name,
                 "summary": rule.summary,
-                "scope": rule.scope.value,
+                "scope": rule.scope.value if rule.scope is not None else None,
             }
-            for rule in all_rules()
+            for rule in all_rules("DET")
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -1,9 +1,16 @@
-"""The determinism rule registry: codes, scopes, and rationale.
+"""The rule catalog of every check layer, and the determinism rules.
 
-Every lint rule the :mod:`repro.checks.linter` enforces is declared
-here as a :class:`Rule` with a stable ``DETnnn`` code.  The registry is
-the single source of truth for the CLI's ``--list-rules`` output, the
-JSON reporter's rule table, and ``docs/CHECKS.md``.
+Every rule a check layer can report is declared as a :class:`Rule`
+with a stable code and registered here, namespaced by code prefix:
+``DETnnn`` (the :mod:`repro.checks.linter`, declared below),
+``CERTnnn`` (:mod:`repro.certify.rules`), ``ANAnnn``
+(:mod:`repro.analyze.rules`) and ``MCnnn``
+(:mod:`repro.modelcheck.rules`).  Each layer keeps its rule text in its
+own ``rules`` module; :func:`all_rules` and :func:`get_rule` import
+that module on first use, so the catalog is whole whatever was
+imported before.  The registry is the single source of truth for every
+CLI's ``--list-rules`` output, the JSON reporters' rule tables, and the
+docs.
 
 Scopes
 ------
@@ -23,13 +30,16 @@ promise:
   should be a pure function.
 
 Files outside the ``repro`` package (test fixtures, ad-hoc scripts) are
-checked against every rule — the strictest interpretation.
+checked against every rule — the strictest interpretation.  Only lint
+rules carry a scope.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import importlib
+from typing import Optional
 
 
 class Scope(enum.Enum):
@@ -52,16 +62,25 @@ EXPERIMENTS_DIR = "experiments"
 
 @dataclasses.dataclass(frozen=True)
 class Rule:
-    """One lint rule: a stable code plus the hazard it guards against."""
+    """One check rule: a stable code plus the hazard it guards against."""
 
     code: str
     name: str
     summary: str
     """One line, shown next to each finding."""
-    rationale: str
-    """Why the construct breaks determinism (docs / --list-rules)."""
-    scope: Scope
+    rationale: str = ""
+    """Why the rule matters (docs)."""
+    scope: Optional[Scope] = None
+    """Where a lint rule applies; rules of the other layers have none."""
 
+
+#: Code prefix -> the module that declares that layer's rules.
+_LAYER_MODULES = {
+    "DET": __name__,
+    "CERT": "repro.certify.rules",
+    "ANA": "repro.analyze.rules",
+    "MC": "repro.modelcheck.rules",
+}
 
 _REGISTRY: dict[str, Rule] = {}
 
@@ -74,17 +93,29 @@ def register(rule: Rule) -> Rule:
     return rule
 
 
-def all_rules() -> tuple[Rule, ...]:
-    """Every registered rule, in code order."""
-    return tuple(_REGISTRY[code] for code in sorted(_REGISTRY))
+def _import_layers(prefix: str) -> None:
+    """Import every layer whose codes can start with ``prefix``."""
+    for layer, module in _LAYER_MODULES.items():
+        if layer.startswith(prefix) or prefix.startswith(layer):
+            importlib.import_module(module)
+
+
+def all_rules(prefix: str = "") -> tuple[Rule, ...]:
+    """Every registered rule whose code starts with ``prefix``, in code order."""
+    _import_layers(prefix)
+    return tuple(
+        rule for code, rule in sorted(_REGISTRY.items()) if code.startswith(prefix)
+    )
 
 
 def get_rule(code: str) -> Rule:
     """The rule registered under ``code`` (KeyError if unknown)."""
+    _import_layers(code)
     return _REGISTRY[code]
 
 
 def is_known(code: str) -> bool:
+    _import_layers(code)
     return code in _REGISTRY
 
 

@@ -71,6 +71,8 @@ from repro.experiments.figures import (
     ALL_EXPERIMENTS,
     FIGURE_SWEEPS,
     experiment_cells,
+    resolve_cell,
+    sample_cell,
 )
 from repro.experiments.report import render_figure, write_csv
 from repro.obs.manifest import DEFAULT_RUNS_DIR, build_manifest, write_manifest
@@ -265,16 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_scale(name: Optional[str]) -> ExperimentScale:
-    if name is None:
-        return ExperimentScale.from_env()
-    return {
-        "quick": ExperimentScale.quick,
-        "default": ExperimentScale.default,
-        "full": ExperimentScale.full,
-    }[name]()
-
-
 def _cell_triples(figure_id: str, scale: ExperimentScale) -> list[tuple[dict, int, str]]:
     """(canonical config dict, seed, policy) per cell — manifest input.
 
@@ -387,7 +379,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.jobs is not None and args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    scale = _resolve_scale(args.scale)
+    scale = ExperimentScale.named(args.scale)
 
     try:
         retry = parallel.RetryPolicy(
@@ -644,50 +636,19 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
     return 1 if any_dropped or any_uncertified or any_analysis_failed else 0
 
 
-def _select_cell(experiment: str, scale: ExperimentScale, cells, spec: str):
-    """Resolve a ``--cell X,SEED,POLICY`` spec against ``cells``.
+def _cell_arg(args, scale: ExperimentScale):
+    """The cell ``--cell`` names (default: the sweep's sample cell).
 
-    Returns the matching cell, or ``None`` after printing a usage error
-    (with the valid axis values) to stderr.
+    Returns ``None`` after printing resolve_cell's usage error, with
+    the sweep's axes, to stderr.
     """
-    parts = spec.split(",")
-    if len(parts) != 3:
-        print(
-            f"error: --cell must be X,SEED,POLICY, got {spec!r}",
-            file=sys.stderr,
-        )
-        return None
+    if args.cell is None:
+        return sample_cell(args.experiment, scale)
     try:
-        want_x, want_seed = float(parts[0]), int(parts[1])
-    except ValueError:
-        print(
-            f"error: --cell X must be a number and SEED an integer, "
-            f"got {spec!r}",
-            file=sys.stderr,
-        )
+        return resolve_cell(args.experiment, scale, args.cell)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return None
-    want_policy = parts[2].strip().lower()
-    matches = [
-        cell
-        for cell in cells
-        if cell.x == want_x
-        and cell.seed == want_seed
-        and cell.policy.lower() == want_policy
-    ]
-    if not matches:
-        xs = sorted({cell.x for cell in cells})
-        seeds = sorted({cell.seed for cell in cells})
-        policies = sorted({cell.policy for cell in cells})
-        print(
-            f"error: no cell {spec!r} in {experiment} at "
-            f"scale={scale.name}.\n"
-            f"  x values: {', '.join(f'{x:g}' for x in xs)}\n"
-            f"  seeds:    {', '.join(str(seed) for seed in seeds)}\n"
-            f"  policies: {', '.join(policies)}",
-            file=sys.stderr,
-        )
-        return None
-    return matches[0]
 
 
 # ---------------------------------------------------------------------------
@@ -751,19 +712,10 @@ def trace_main(argv: Sequence[str]) -> int:
     from repro.workload.generator import generate_workload
 
     args = build_trace_parser().parse_args(argv)
-    scale = _resolve_scale(args.scale)
-    cells = experiment_cells(args.experiment, scale)
-
-    if args.cell is not None:
-        cell = _select_cell(args.experiment, scale, cells, args.cell)
-        if cell is None:
-            return 2
-    else:
-        # Middle of the axis, first seed, first policy — a cell under
-        # moderate load, which is where schedules are interesting.
-        xs = sorted({c.x for c in cells})
-        mid_x = xs[len(xs) // 2]
-        cell = next(c for c in cells if c.x == mid_x)
+    scale = ExperimentScale.named(args.scale)
+    cell = _cell_arg(args, scale)
+    if cell is None:
+        return 2
 
     log = EventLog()
     registry = MetricsRegistry()
@@ -865,14 +817,13 @@ def profile_main(argv: Sequence[str]) -> int:
     from repro.obs.prof import SpanProfiler, timing_section, validate_chrome_trace
 
     args = build_profile_parser().parse_args(argv)
-    scale = _resolve_scale(args.scale)
-    cells = experiment_cells(args.experiment, scale)
+    scale = ExperimentScale.named(args.scale)
     prof = SpanProfiler()
     registry = MetricsRegistry()
     started = time.time()
 
     if args.cell is not None:
-        cell = _select_cell(args.experiment, scale, cells, args.cell)
+        cell = _cell_arg(args, scale)
         if cell is None:
             return 2
         options = parallel.CellOptions(observe=True, profile=True)
@@ -892,7 +843,10 @@ def profile_main(argv: Sequence[str]) -> int:
         # profile of replayed results would be an empty lie.
         with parallel.execution(cache=None):
             results = parallel.execute_cells(
-                cells, jobs=args.jobs, metrics=registry, profile=prof
+                experiment_cells(args.experiment, scale),
+                jobs=args.jobs,
+                metrics=registry,
+                profile=prof,
             )
         stats = parallel.last_stats()
         print(

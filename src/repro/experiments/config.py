@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from typing import Optional
 
 from repro.config import SimulationConfig
 
@@ -50,6 +51,10 @@ DISK_BASE = MAIN_MEMORY_BASE.replace(
 #: The paper's seed counts.
 MAIN_MEMORY_SEEDS: tuple[int, ...] = tuple(range(1, 11))
 DISK_SEEDS: tuple[int, ...] = tuple(range(1, 31))
+
+
+#: The names ``ExperimentScale.named`` accepts, smallest first.
+SCALE_NAMES = ("quick", "default", "full")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,16 +92,18 @@ class ExperimentScale:
         if os.environ.get("REPRO_FULL") == "1":
             return cls.full()
         name = os.environ.get("REPRO_SCALE", "default").strip().lower()
-        factories = {
-            "full": cls.full,
-            "default": cls.default,
-            "quick": cls.quick,
-        }
-        if name not in factories:
+        if name not in SCALE_NAMES:
             raise ValueError(
-                f"REPRO_SCALE must be one of {sorted(factories)}, got {name!r}"
+                f"REPRO_SCALE must be one of {sorted(SCALE_NAMES)}, got {name!r}"
             )
-        return factories[name]()
+        return cls.named(name)
+
+    @classmethod
+    def named(cls, name: Optional[str]) -> "ExperimentScale":
+        """The scale called ``name``; ``None`` defers to :meth:`from_env`."""
+        if name is None:
+            return cls.from_env()
+        return {"full": cls.full, "default": cls.default, "quick": cls.quick}[name]()
 
     def seeds_for(self, config: SimulationConfig) -> tuple[int, ...]:
         if config.disk_resident:

@@ -14,7 +14,7 @@ simulator, not the authors' SIMPACK binary) are recorded in each result's
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from repro.config import SimulationConfig
 from repro.core.policy import make_policy
@@ -22,7 +22,7 @@ from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import DISK_BASE, MAIN_MEMORY_BASE, ExperimentScale
 from repro.experiments.parallel import SweepCell, cells_for_sweep
-from repro.experiments.runner import compare_policies, sweep
+from repro.experiments.runner import sweep
 from repro.metrics.comparison import improvement_percent
 from repro.metrics.summary import RunSummary
 from repro.obs.registry import MetricsRegistry
@@ -503,6 +503,99 @@ def experiment_cells(figure_id: str, scale: ExperimentScale) -> list[SweepCell]:
             f"unknown experiment {figure_id!r}; known: {sorted(FIGURE_SWEEPS)}"
         ) from None
     return [cell for spec in specs for cell in spec.cells(scale)]
+
+
+#: Base configuration behind each sweep-less experiment.
+TABLE_BASES = {"table1": MAIN_MEMORY_BASE, "table2": DISK_BASE}
+
+
+def _usage_error(message: str) -> ValueError:
+    # The check-CLI core's error class, imported only when a command
+    # line names something that does not exist, so the sweep path never
+    # loads the checker packages.
+    from repro.checks.cli_core import UsageError
+
+    return UsageError(message)
+
+
+def _known_cells(experiment: str, scale: ExperimentScale) -> list[SweepCell]:
+    """:func:`experiment_cells`, or a UsageError naming the known ids."""
+    if experiment not in FIGURE_SWEEPS:
+        raise _usage_error(
+            f"unknown experiment {experiment!r}; "
+            f"known: {', '.join(sorted(FIGURE_SWEEPS))}"
+        )
+    return experiment_cells(experiment, scale)
+
+
+def sample_cell(experiment: str, scale: ExperimentScale) -> SweepCell:
+    """The experiment's deterministic sample cell: middle x, first seed.
+
+    For a sweep that is its first cell at the middle x-value (first
+    seed, first policy): a cell under moderate load, which is where
+    schedules are interesting.  ``table1``/``table2`` have no sweep and
+    synthesize the base-parameter cell (x is its arrival rate) under
+    EDF-HP.
+    """
+    cells = _known_cells(experiment, scale)
+    if not cells:
+        base = TABLE_BASES[experiment]
+        config = scale.scale_config(base)
+        return SweepCell(
+            x=config.arrival_rate,
+            policy="EDF-HP",
+            seed=scale.seeds_for(base)[0],
+            config=config,
+        )
+    xs = sorted({cell.x for cell in cells})
+    mid_x = xs[len(xs) // 2]
+    return next(cell for cell in cells if cell.x == mid_x)
+
+
+def _parse_cell_spec(spec: str) -> tuple[float, int, str]:
+    """``"X,SEED,POLICY"`` -> (x, seed, canonical policy name)."""
+    parts = spec.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"--cell must be X,SEED,POLICY, got {spec!r}")
+    try:
+        x, seed = float(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(
+            f"--cell X must be a number and SEED an integer, got {spec!r}"
+        ) from None
+    return x, seed, make_policy(parts[2], penalty_weight=1.0).name
+
+
+def resolve_cell(experiment: str, scale: ExperimentScale, spec: str) -> SweepCell:
+    """The cell a ``--cell X,SEED,POLICY`` spec names.
+
+    The ``(x, seed)`` point must exist in the experiment's sweep, so
+    the workload is one the experiment actually runs; the policy may be
+    any name :func:`make_policy` accepts, not just the sweep's own.
+    Anything else raises a UsageError that lists the sweep's axes.
+    """
+    cells = _known_cells(experiment, scale)
+    try:
+        x, seed, policy = _parse_cell_spec(spec)
+    except ValueError as exc:
+        problem = str(exc)
+    else:
+        for cell in cells:
+            if cell.x == x and cell.seed == seed:
+                return dataclasses.replace(cell, policy=policy)
+        problem = (
+            f"no cell at x={x:g} seed={seed} in {experiment} "
+            f"at scale={scale.name}"
+        )
+    xs = sorted({cell.x for cell in cells})
+    seeds = sorted({cell.seed for cell in cells})
+    policies = sorted({cell.policy for cell in cells})
+    raise _usage_error(
+        f"{problem}\n"
+        f"  x values: {', '.join(f'{value:g}' for value in xs)}\n"
+        f"  seeds:    {', '.join(str(value) for value in seeds)}\n"
+        f"  policies: {', '.join(policies)}  (any policy name is accepted)"
+    )
 
 
 def run_experiment(

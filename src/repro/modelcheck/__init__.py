@@ -27,7 +27,7 @@ from repro.modelcheck.explorer import (
     run_schedule,
 )
 from repro.modelcheck.mutants import MutantSpec, all_mutants, get_mutant
-from repro.modelcheck.rules import RTS_TO_MC, MCRule, all_rules, get_rule
+from repro.modelcheck.rules import RTS_TO_MC
 from repro.modelcheck.workloads import (
     ALL_MC_POLICIES,
     WorkloadCase,
@@ -41,7 +41,6 @@ __all__ = [
     "ControlledSimulator",
     "Counterexample",
     "Exploration",
-    "MCRule",
     "ModelCheckViolation",
     "MutantSpec",
     "Option",
@@ -53,10 +52,8 @@ __all__ = [
     "WorkloadCase",
     "all_cases",
     "all_mutants",
-    "all_rules",
     "explore",
     "get_case",
     "get_mutant",
-    "get_rule",
     "run_schedule",
 ]

@@ -23,13 +23,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.checks.report import (
-    EXIT_USAGE,
-    add_list_rules_flag,
-    handle_list_rules,
-    print_report,
-    verdict_exit_code,
-)
+from repro.checks.cli_core import Report, UsageError, add_report_arguments, check_main
 from repro.modelcheck.bundle import write_mc_bundle
 from repro.modelcheck.explorer import (
     DEFAULT_DEPTH,
@@ -39,7 +33,6 @@ from repro.modelcheck.explorer import (
 )
 from repro.modelcheck.mutants import all_mutants, get_mutant
 from repro.modelcheck.report import McReport, render_json, render_text
-from repro.modelcheck.rules import all_rules
 from repro.modelcheck.workloads import ALL_MC_POLICIES, all_cases, get_case
 
 
@@ -176,45 +169,24 @@ def build_mc_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the bundled workload catalog and exit",
     )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (default: text)",
-    )
-    add_list_rules_flag(parser, what="model-check rule")
+    add_report_arguments(parser, what="model-check rule")
     return parser
 
 
 def mc_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_mc_parser().parse_args(
-        list(argv) if argv is not None else None
-    )
-    catalog_exit = handle_list_rules(args, all_rules())
-    if catalog_exit is not None:
-        return catalog_exit
+    return check_main(build_mc_parser(), "MC", _mc, argv)
+
+
+def _mc(args: argparse.Namespace) -> Report:
     if args.list_workloads:
-        print_report(
-            "\n".join(
-                f"{case.name:<16} {case.summary}" for case in all_cases()
-            )
+        catalog = "\n".join(
+            f"{case.name:<16} {case.summary}" for case in all_cases()
         )
-        return verdict_exit_code(True)
+        return Report(True, lambda: catalog, lambda: catalog)
     if args.depth < 1 or args.max_schedules < 1 or args.take < 1:
-        print(
-            "error: --depth, --max-schedules and --take must be >= 1",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise UsageError("--depth, --max-schedules and --take must be >= 1")
 
-    try:
-        targets = _resolve_targets(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if targets is None:
-        return EXIT_USAGE
-
+    targets = _resolve_targets(args)
     report = McReport(explorations=[])
     for name, config, specs, policies, mutant in targets:
         for policy_name in policies:
@@ -243,12 +215,9 @@ def mc_main(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 report.bundles.append(str(bundle))
 
-    print_report(
-        render_json(report)
-        if args.format == "json"
-        else render_text(report)
+    return Report(
+        report.clean, lambda: render_text(report), lambda: render_json(report)
     )
-    return verdict_exit_code(report.clean)
 
 
 def _attach_por_measure(
@@ -293,10 +262,6 @@ def _attach_por_measure(
         report.por_measure = measure
 
 
-class _UsageError(ValueError):
-    """A bad combination of mc CLI arguments."""
-
-
 def _resolve_targets(args):
     """Build the (name, config, specs, policies, mutant) work list."""
     policies = (
@@ -326,9 +291,9 @@ def _resolve_targets(args):
 
     if args.workload is not None:
         if args.policy is None:
-            raise _UsageError("--workload requires --policy NAMES")
+            raise UsageError("--workload requires --policy NAMES")
         if not args.workload.exists():
-            raise _UsageError(f"no such file: {args.workload}")
+            raise UsageError(f"no such file: {args.workload}")
         from repro.config import SimulationConfig
         from repro.workload.serialization import load_workload
 
@@ -346,7 +311,7 @@ def _resolve_targets(args):
         return [(str(args.workload), config, specs, policies, None)]
 
     if args.target is None:
-        raise _UsageError(
+        raise UsageError(
             "a target is required: a bundled workload name, 'all', an "
             "experiment id, or --workload FILE (see --list-workloads)"
         )
@@ -366,7 +331,7 @@ def _get_mutant_or_raise(name: str):
     try:
         return get_mutant(name)
     except KeyError as exc:
-        raise _UsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def _experiment_target(args, policies):
@@ -377,18 +342,18 @@ def _experiment_target(args, policies):
     first sweep cell — a bounded but real sample of its workload
     distribution and configuration (disk residency, database size).
     """
-    from repro.cli import _resolve_scale
+    from repro.experiments.config import ExperimentScale
     from repro.experiments.figures import FIGURE_SWEEPS, experiment_cells
     from repro.workload.generator import generate_workload
 
     if args.target not in FIGURE_SWEEPS:
         known = ", ".join(case.name for case in all_cases())
-        raise _UsageError(
+        raise UsageError(
             f"unknown target {args.target!r}: not a bundled workload "
             f"({known}) and not an experiment "
             f"({', '.join(sorted(FIGURE_SWEEPS))})"
         )
-    cells = experiment_cells(args.target, _resolve_scale(None))
+    cells = experiment_cells(args.target, ExperimentScale.from_env())
     config = cells[0].config
     specs = tuple(generate_workload(config, args.seed)[: args.take])
     config = config.replace(n_transactions=len(specs), sanitize=False)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.checks.report import json_envelope
+from repro.checks.cli_core import json_envelope
 from repro.modelcheck.explorer import Exploration
 
 #: Document type of the machine-readable report.

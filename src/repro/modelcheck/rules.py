@@ -16,40 +16,10 @@ former onto this catalog so one report vocabulary covers both.
 
 from __future__ import annotations
 
-import dataclasses
-
-
-@dataclasses.dataclass(frozen=True)
-class MCRule:
-    """One model-checked invariant: a stable code plus its claim."""
-
-    code: str
-    name: str
-    summary: str
-    rationale: str
-
-
-_REGISTRY: dict[str, MCRule] = {}
-
-
-def register(rule: MCRule) -> MCRule:
-    if rule.code in _REGISTRY:
-        raise ValueError(f"duplicate rule code {rule.code}")
-    _REGISTRY[rule.code] = rule
-    return rule
-
-
-def all_rules() -> tuple[MCRule, ...]:
-    """Every registered rule, in code order."""
-    return tuple(_REGISTRY[code] for code in sorted(_REGISTRY))
-
-
-def get_rule(code: str) -> MCRule:
-    return _REGISTRY[code]
-
+from repro.checks.rules import Rule, register
 
 MC001 = register(
-    MCRule(
+    Rule(
         code="MC001",
         name="theorem1-no-lock-wait",
         summary="Theorem 1: no lock wait under a pre-analysis policy, "
@@ -64,7 +34,7 @@ MC001 = register(
 )
 
 MC002 = register(
-    MCRule(
+    Rule(
         code="MC002",
         name="theorem2-no-mutual-wound",
         summary="Theorem 2: no two transactions wound each other at one "
@@ -78,7 +48,7 @@ MC002 = register(
 )
 
 MC003 = register(
-    MCRule(
+    Rule(
         code="MC003",
         name="lock-table-consistency",
         summary="the lock table stays consistent after every event of "
@@ -93,7 +63,7 @@ MC003 = register(
 )
 
 MC004 = register(
-    MCRule(
+    Rule(
         code="MC004",
         name="deadlock-freedom",
         summary="no explored schedule reaches a wait-for cycle or ends "
@@ -108,7 +78,7 @@ MC004 = register(
 )
 
 MC005 = register(
-    MCRule(
+    Rule(
         code="MC005",
         name="endstate-serializability",
         summary="every terminal history passes the offline certifier "
@@ -123,7 +93,7 @@ MC005 = register(
 )
 
 MC006 = register(
-    MCRule(
+    Rule(
         code="MC006",
         name="dispatch-rule-conformance",
         summary="wound order, priority total order, and IOwait-schedule "

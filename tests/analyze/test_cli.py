@@ -6,7 +6,7 @@ import pytest
 
 from repro.analyze.cli import analyze_main, build_analyze_parser
 from repro.analyze.report import JSON_SCHEMA_VERSION
-from repro.analyze.rules import all_rules
+from repro.checks.rules import all_rules
 from repro.cli import main
 from repro.rtdb.transaction import Operation, TransactionSpec
 from repro.workload.serialization import save_workload
@@ -61,7 +61,7 @@ class TestListRules:
     def test_catalog_covers_all_rules(self, capsys):
         assert analyze_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in all_rules():
+        for rule in all_rules("ANA"):
             assert rule.code in out
             assert rule.name in out
 
@@ -94,7 +94,7 @@ class TestExperimentMode:
         assert doc["schema"] == JSON_SCHEMA_VERSION
         assert doc["clean"] is True
         assert [v["code"] for v in doc["verdicts"]] == [
-            rule.code for rule in all_rules()
+            rule.code for rule in all_rules("ANA")
         ]
 
     def test_mutated_masks_exit_one_with_counterexample(self, capsys):

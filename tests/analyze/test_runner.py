@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analyze.equivalence import parse_mutation
-from repro.analyze.rules import all_rules
+from repro.checks.rules import all_rules
 from repro.analyze.runner import (
     AnalysisResult,
     analysis_section,
@@ -16,7 +16,7 @@ from repro.obs.manifest import build_manifest, validate_manifest
 from repro.obs.registry import MetricsRegistry
 from repro.rtdb.transaction import Operation, TransactionSpec
 
-ALL_CODES = [rule.code for rule in all_rules()]
+ALL_CODES = [rule.code for rule in all_rules("ANA")]
 
 
 def spec(tid, items, arrival=0.0, deadline=100.0):

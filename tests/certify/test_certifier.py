@@ -3,7 +3,7 @@
 The acceptance matrix from the issue: the paper's experiments certify
 under every policy family — the locking baselines (EDF-HP, EDF-Wait)
 and the CCA variants — at quick scale.  Also covers the runner's cell
-selection, the metrics counters, and the manifest v3 integration.
+selection, the metrics counters, and the manifest integration.
 """
 
 import pytest
@@ -14,9 +14,10 @@ from repro.certify.runner import (
     certify_cell,
     certify_sample,
     default_cells,
-    find_cell,
 )
+from repro.checks.cli_core import UsageError
 from repro.experiments.config import ExperimentScale
+from repro.experiments.figures import resolve_cell
 from repro.obs.manifest import build_manifest, validate_manifest
 from repro.obs.registry import MetricsRegistry
 
@@ -78,17 +79,17 @@ class TestCellSelection:
         (disk_cell,) = default_cells("table2", quick, ["EDF-HP"])
         assert disk_cell.config.disk_resident
 
-    def test_find_cell_replaces_policy(self, quick):
+    def test_resolve_cell_replaces_policy(self, quick):
         cells = default_cells("fig4a", quick, ["EDF-HP"])
-        found = find_cell(
-            "fig4a", quick, cells[0].x, cells[0].seed, "fcfs"
+        found = resolve_cell(
+            "fig4a", quick, f"{cells[0].x:g},{cells[0].seed},fcfs"
         )
-        assert found is not None
         assert found.policy == "FCFS"
         assert found.config == cells[0].config
 
-    def test_find_cell_rejects_unknown_point(self, quick):
-        assert find_cell("fig4a", quick, 999.0, 1, "EDF-HP") is None
+    def test_resolve_cell_rejects_unknown_point(self, quick):
+        with pytest.raises(UsageError, match="no cell at x=999 seed=1"):
+            resolve_cell("fig4a", quick, "999,1,EDF-HP")
 
 
 class TestSampleAndManifest:
@@ -120,7 +121,7 @@ class TestSampleAndManifest:
         assert cell["violations"] == []
         assert set(cell["cell"]) == {"x", "seed", "policy"}
 
-    def test_manifest_v3_accepts_the_section(self, sampled):
+    def test_current_manifest_accepts_the_section(self, sampled):
         registry, samples = sampled
         manifest = build_manifest(
             experiment="table1",

@@ -30,7 +30,7 @@ class TestGoldenFixture:
         """CI gate: each DET rule must keep triggering on known-bad code."""
         result = lint_paths([FIXTURE])
         fired = set(result.counts_by_code())
-        expected = {rule.code for rule in all_rules()}
+        expected = {rule.code for rule in all_rules("DET")}
         assert fired == expected, (
             f"rules that stopped firing on the golden fixture: "
             f"{sorted(expected - fired)}"
@@ -85,7 +85,7 @@ class TestJsonSchema:
             assert set(finding) == FINDING_KEYS
             assert finding["suppressed"] is True
         assert payload["summary"] == result.counts_by_code()
-        assert set(payload["rules"]) == {r.code for r in all_rules()}
+        assert set(payload["rules"]) == {r.code for r in all_rules("DET")}
         for entry in payload["rules"].values():
             assert set(entry) == {"name", "summary", "scope"}
 
@@ -121,7 +121,7 @@ class TestCliFlags:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in all_rules():
+        for rule in all_rules("DET"):
             assert rule.code in out
 
     def test_show_suppressed_lists_allows(self, capsys):

@@ -15,7 +15,7 @@ from repro.checks.linter import (
 )
 from repro.checks.rules import Scope, all_rules, get_rule, is_known
 
-ALL_CODES = [rule.code for rule in all_rules()]
+ALL_CODES = [rule.code for rule in all_rules("DET")]
 
 
 def findings_for(source: str, codes=None) -> list[Finding]:
@@ -39,7 +39,7 @@ class TestRegistry:
         ]
 
     def test_rules_carry_scope_and_rationale(self):
-        for rule in all_rules():
+        for rule in all_rules("DET"):
             assert rule.summary
             assert rule.rationale
             assert rule.scope in (Scope.SIM_PATH, Scope.NON_EXPERIMENTS)

@@ -21,7 +21,7 @@ from repro.modelcheck.bundle import (
 )
 from repro.modelcheck.explorer import explore
 from repro.modelcheck.mutants import all_mutants, get_mutant
-from repro.modelcheck.rules import get_rule
+from repro.checks.rules import get_rule
 from repro.modelcheck.workloads import get_case
 
 MUTANTS = [m.name for m in all_mutants()]
