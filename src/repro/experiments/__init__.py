@@ -18,30 +18,35 @@ Regenerate any figure from the command line::
     python -m repro all --csv out/
 """
 
-from repro.experiments.cache import ResultCache, cache_key
-from repro.experiments.config import (
-    DISK_BASE,
-    DISK_SEEDS,
-    MAIN_MEMORY_BASE,
-    MAIN_MEMORY_SEEDS,
-    ExperimentScale,
-)
-from repro.experiments.parallel import (
-    CellFailure,
-    RetryPolicy,
-    SweepCell,
-    SweepError,
-    SweepStats,
-    execute_cells,
-    simulate_cell,
-)
-from repro.experiments.figures import (
-    ALL_EXPERIMENTS,
-    FigureResult,
-    run_experiment,
-)
-from repro.experiments.runner import compare_policies, run_policy, sweep
-from repro.experiments.report import render_figure, write_csv
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.cache import ResultCache, cache_key
+    from repro.experiments.config import (
+        DISK_BASE,
+        DISK_SEEDS,
+        MAIN_MEMORY_BASE,
+        MAIN_MEMORY_SEEDS,
+        ExperimentScale,
+    )
+    from repro.experiments.parallel import (
+        CellFailure,
+        RetryPolicy,
+        SweepCell,
+        SweepError,
+        SweepStats,
+        execute_cells,
+        simulate_cell,
+    )
+    from repro.experiments.figures import (
+        ALL_EXPERIMENTS,
+        FigureResult,
+        run_experiment,
+    )
+    from repro.experiments.runner import compare_policies, run_policy, sweep
+    from repro.experiments.report import render_figure, write_csv
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -67,3 +72,17 @@ __all__ = [
     "sweep",
     "write_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.cache": ("ResultCache", "cache_key"),
+    "repro.experiments.config": (
+        "DISK_BASE", "DISK_SEEDS", "MAIN_MEMORY_BASE", "MAIN_MEMORY_SEEDS", "ExperimentScale",
+    ),
+    "repro.experiments.parallel": (
+        "CellFailure", "RetryPolicy", "SweepCell", "SweepError", "SweepStats", "execute_cells",
+        "simulate_cell",
+    ),
+    "repro.experiments.figures": ("ALL_EXPERIMENTS", "FigureResult", "run_experiment"),
+    "repro.experiments.runner": ("compare_policies", "run_policy", "sweep"),
+    "repro.experiments.report": ("render_figure", "write_csv"),
+})

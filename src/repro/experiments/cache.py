@@ -231,12 +231,10 @@ class ResultCache:
                 # One json.dumps call runs the C encoder; json.dump
                 # would stream through the pure-Python iterencode.
                 handle.write(json.dumps(entry, separators=(",", ":")))
-                # Flush user-space buffers and force the data to disk
-                # *before* the rename publishes the entry: a worker (or
-                # host) killed mid-write can leave a stale ``.tmp``
-                # file, never a truncated entry at the final path.
-                handle.flush()
-                os.fsync(handle.fileno())
+            # The rename publishes a complete file, so a worker killed
+            # mid-write leaves a stale ``.tmp``, never a partial entry.
+            # No fsync: an entry a host crash truncates reads as a miss
+            # in :meth:`get` and is recomputed.
             os.replace(tmp_name, path)
         except BaseException:
             try:

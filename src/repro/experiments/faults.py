@@ -54,8 +54,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import multiprocessing
 import os
+import sys
 import time
 from typing import Optional
 
@@ -229,7 +229,10 @@ def active_plan() -> Optional[FaultPlan]:
 
 
 def _in_child_process() -> bool:
-    return multiprocessing.parent_process() is not None
+    # Read, never imported: a process that has not loaded
+    # multiprocessing cannot be one of its pool workers.
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.parent_process() is not None
 
 
 def inject_kernel_fault(key_material: str, attempt: int) -> None:

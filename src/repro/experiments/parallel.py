@@ -44,10 +44,7 @@ import dataclasses
 import os
 import re
 import time
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.core.factory import make_simulator
@@ -56,18 +53,21 @@ from repro.core.policy import make_policy
 from repro.core.simulator import SimulationResult
 from repro.experiments import faults
 from repro.experiments.cache import ResultCache, cache_key
-from repro.experiments.quarantine import (
-    FallbackPolicy,
-    kernel_eligible,
-    quarantine_failure,
-)
-from repro.mp.simulator import MultiprocessorSimulator
-from repro.obs.prof import SpanProfiler, observe_stage
 from repro.obs.registry import MetricsRegistry
 from repro.occ.simulator import OCCSimulator
 from repro.rtdb.transaction import TransactionSpec
 from repro.sim.engine import BudgetExceeded
 from repro.workload.generator import generate_workload
+
+# Imported where they are used: the process pool by the first sweep that
+# builds one, the fallback, the multiprocessor engine and the profiler
+# by the cells that ask for them.  A ``jobs=1`` sweep loads none of them.
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.experiments.quarantine import FallbackPolicy
+    from repro.mp.simulator import MultiprocessorSimulator
+    from repro.obs.prof import SpanProfiler
 
 TraceHook = Callable[..., None]
 """``callable(event_name, **fields)`` — same shape as simulator trace
@@ -305,6 +305,8 @@ def _build_mp(
     max_wall_s: Optional[float] = None,
     max_memory_mb: Optional[float] = None,
 ) -> MultiprocessorSimulator:
+    from repro.mp.simulator import MultiprocessorSimulator
+
     match = _MP_LABEL.fullmatch(label)
     assert match is not None, label
     policy = make_policy(match["policy"], penalty_weight=config.penalty_weight)
@@ -504,6 +506,8 @@ def _run_label(
     except (BudgetExceeded, MemoryError):
         raise
     except Exception as exc:
+        from repro.experiments.quarantine import kernel_eligible, quarantine_failure
+
         if not kernel_eligible(config):
             raise
         record = quarantine_failure(
@@ -534,7 +538,11 @@ def _simulate_label(
     ``kernel.*`` introspection) and the profiler."""
     engine = cell_engine(label)
     registry = MetricsRegistry() if options.observe else None
-    prof = SpanProfiler() if options.profile else None
+    prof = None
+    if options.profile:
+        from repro.obs.prof import SpanProfiler
+
+        prof = SpanProfiler()
     kwargs: dict = {
         "trace": options.trace,
         "max_wall_s": options.max_wall_s,
@@ -551,6 +559,8 @@ def _simulate_label(
     outcome = CellOutcome(result=result, wall_ms=(finished - first) * 1000.0)
     if registry is None and prof is None:
         return outcome
+    from repro.obs.prof import observe_stage
+
     ran = engine.family
     if engine.locking:
         ran = "kernel" if isinstance(simulator, KernelSimulator) else "reference"
@@ -919,6 +929,8 @@ class _SweepRunner:
         groups = self._groups(cells)
         futures: dict[int, Any] = {}
         if self.use_pool and len(groups) > 1:
+            from concurrent.futures.process import BrokenProcessPool
+
             pool = self._ensure_pool(len(groups))
             for index, group in enumerate(groups):
                 try:
@@ -972,42 +984,57 @@ class _SweepRunner:
         """Run (serially) or await (pooled) one group's task and file
         its outcomes by cell; a failure of the task itself becomes each
         of its cells' error.  Re-raises an interrupt a label caught."""
-        try:
-            if future is None:
+        if future is None:
+            try:
                 payload = run_cell(*self._task(group))
-            elif isinstance(future, BaseException):
-                raise future  # the submit itself failed
-            else:
-                timeout = self.retry.timeout
-                payload = future.result(
-                    timeout=None if timeout is None else timeout * len(group)
-                )
-        except (_FuturesTimeout, TimeoutError) as exc:
-            # The hung worker keeps its slot until it finishes; taint
-            # the pool so the next round starts fresh.
-            self._pool_tainted = True
-            self.stats.timeouts += 1
-            if len(group) > 1:
+            except Exception as exc:
+                payload = [CellOutcome(error=exc) for _ in group]
+        else:
+            payload = self._await(group, future)
+            if payload is _SPLIT:
                 for cell in group:
                     self.attempts[cell.key] -= 1
                     self.alone.add(cell.key)
                     outcomes[cell.key] = _SPLIT
                 return
-            payload = [CellOutcome(error=CellTimeoutError(
-                f"cell {group[0].key} exceeded timeout="
-                f"{self.retry.timeout:g}s ({type(exc).__name__})"
-            ))]
-        except (BrokenProcessPool, CancelledError) as exc:
-            self._pool_tainted = True
-            payload = [CellOutcome(error=exc) for _ in group]
-        except Exception as exc:
-            payload = [CellOutcome(error=exc) for _ in group]
         _file_payload(group, payload, outcomes)
         for outcome in payload if isinstance(payload, list) else ():
             if isinstance(outcome, CellOutcome) and isinstance(
                 outcome.error, KeyboardInterrupt
             ):
                 raise outcome.error
+
+    def _await(self, group: Sequence[SweepCell], future: Any) -> Any:
+        """A pooled task's payload, or :data:`_SPLIT` when a task of
+        several cells timed out; the pool's failures become each cell's
+        error."""
+        from concurrent.futures import CancelledError
+        from concurrent.futures import TimeoutError as FuturesTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            if isinstance(future, BaseException):
+                raise future  # the submit itself failed
+            timeout = self.retry.timeout
+            return future.result(
+                timeout=None if timeout is None else timeout * len(group)
+            )
+        except (FuturesTimeout, TimeoutError) as exc:
+            # The hung worker keeps its slot until it finishes; taint
+            # the pool so the next round starts fresh.
+            self._pool_tainted = True
+            self.stats.timeouts += 1
+            if len(group) > 1:
+                return _SPLIT
+            return [CellOutcome(error=CellTimeoutError(
+                f"cell {group[0].key} exceeded timeout="
+                f"{self.retry.timeout:g}s ({type(exc).__name__})"
+            ))]
+        except (BrokenProcessPool, CancelledError) as exc:
+            self._pool_tainted = True
+            return [CellOutcome(error=exc) for _ in group]
+        except Exception as exc:
+            return [CellOutcome(error=exc) for _ in group]
 
     # -- per-cell outcomes -------------------------------------------------
 
@@ -1028,6 +1055,8 @@ class _SweepRunner:
                 )
         prof = self.profile
         if outcome.deltas is not None and self.metrics is not None:
+            from repro.obs.prof import observe_stage
+
             t0 = time.perf_counter()
             self.metrics.merge_snapshot(outcome.deltas)
             self.metrics.histogram("sweep.cell_wall_ms").observe(outcome.wall_ms)
@@ -1059,6 +1088,8 @@ class _SweepRunner:
                 self.cache.safe_put(cell.config, cell.seed, cell.policy, result, key)
                 put_s = time.perf_counter() - t0
                 if self.metrics is not None:
+                    from repro.obs.prof import observe_stage
+
                     observe_stage(self.metrics, "cache_put", put_s * 1000.0)
                 if prof is not None:
                     prof.timer("sweep.cache_put", "stage").add(put_s)
@@ -1106,7 +1137,7 @@ class _SweepRunner:
         """Merge finished-but-unprocessed cells (checkpoint on abort)."""
         for index, future in futures.items():
             if (
-                isinstance(future, Future)
+                not isinstance(future, BaseException)
                 and future.done()
                 and not future.cancelled()
                 and future.exception() is None
@@ -1132,6 +1163,8 @@ class _SweepRunner:
 
     def _ensure_pool(self, width: int) -> ProcessPoolExecutor:
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=min(self.jobs, width))
         return self._pool
 
@@ -1253,6 +1286,8 @@ def execute_cells(
     if cache is not None:
         lookup_t1 = time.perf_counter()
         if metrics is not None:
+            from repro.obs.prof import observe_stage
+
             observe_stage(metrics, "cache_lookup", (lookup_t1 - lookup_t0) * 1000.0)
         if profile is not None:
             profile.add_span(

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.checks.cli_core import Report, UsageError, add_report_arguments, check_main
+from repro.core.policy import make_policy
 from repro.modelcheck.bundle import write_mc_bundle
 from repro.modelcheck.explorer import (
     DEFAULT_DEPTH,
@@ -269,6 +270,11 @@ def _resolve_targets(args):
         if args.policy is not None
         else ALL_MC_POLICIES
     )
+    for name in policies:
+        try:
+            make_policy(name)
+        except ValueError as exc:
+            raise UsageError(f"--policy: {exc}") from None
 
     if args.mutate is not None:
         mutants = (
@@ -341,9 +347,10 @@ def _experiment_target(args, policies):
     checker takes the first ``--take`` arrivals of the experiment's
     first sweep cell — a bounded but real sample of its workload
     distribution and configuration (disk residency, database size).
+    ``table1``/``table2`` have no sweep; they take their base cell.
     """
     from repro.experiments.config import ExperimentScale
-    from repro.experiments.figures import FIGURE_SWEEPS, experiment_cells
+    from repro.experiments.figures import FIGURE_SWEEPS, experiment_cells, sample_cell
     from repro.workload.generator import generate_workload
 
     if args.target not in FIGURE_SWEEPS:
@@ -353,8 +360,9 @@ def _experiment_target(args, policies):
             f"({known}) and not an experiment "
             f"({', '.join(sorted(FIGURE_SWEEPS))})"
         )
-    cells = experiment_cells(args.target, ExperimentScale.from_env())
-    config = cells[0].config
+    scale = ExperimentScale.from_env()
+    cells = experiment_cells(args.target, scale)
+    config = (cells[0] if cells else sample_cell(args.target, scale)).config
     specs = tuple(generate_workload(config, args.seed)[: args.take])
     config = config.replace(n_transactions=len(specs), sanitize=False)
     return (f"{args.target}[:{args.take}]", config, specs, policies, None)

@@ -18,30 +18,35 @@ The subsystem has five pieces, each usable alone:
 See docs/OBSERVABILITY.md for the metrics catalog and manifest schema.
 """
 
-from repro.obs.hooks import (
-    KernelIntrospection,
-    MetricsTraceHook,
-    SimulatorMetrics,
-    fanout,
-    slack_band,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    load_manifest,
-    validate_manifest,
-    write_manifest,
-)
-from repro.obs.prof import (
-    AggregateTimer,
-    SpanProfiler,
-    host_provenance,
-    observe_stage,
-    timing_section,
-    validate_chrome_trace,
-)
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.sampler import Sample, TimeSeriesSampler
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.hooks import (
+        KernelIntrospection,
+        MetricsTraceHook,
+        SimulatorMetrics,
+        fanout,
+        slack_band,
+    )
+    from repro.obs.manifest import (
+        MANIFEST_SCHEMA_VERSION,
+        build_manifest,
+        load_manifest,
+        validate_manifest,
+        write_manifest,
+    )
+    from repro.obs.prof import (
+        AggregateTimer,
+        SpanProfiler,
+        host_provenance,
+        observe_stage,
+        timing_section,
+        validate_chrome_trace,
+    )
+    from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+    from repro.obs.sampler import Sample, TimeSeriesSampler
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -67,3 +72,19 @@ __all__ = [
     "validate_manifest",
     "write_manifest",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.hooks": (
+        "KernelIntrospection", "MetricsTraceHook", "SimulatorMetrics", "fanout", "slack_band",
+    ),
+    "repro.obs.manifest": (
+        "MANIFEST_SCHEMA_VERSION", "build_manifest", "load_manifest", "validate_manifest",
+        "write_manifest",
+    ),
+    "repro.obs.prof": (
+        "AggregateTimer", "SpanProfiler", "host_provenance", "observe_stage", "timing_section",
+        "validate_chrome_trace",
+    ),
+    "repro.obs.registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "repro.obs.sampler": ("Sample", "TimeSeriesSampler"),
+})

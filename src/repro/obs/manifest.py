@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import subprocess
 import time
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -77,6 +76,8 @@ _REQUIRED_FIELDS: dict[str, type | tuple[type, ...]] = {
 
 def git_rev(repo_root: Optional[Path] = None) -> Optional[str]:
     """The current git commit hash, or ``None`` outside a checkout."""
+    import subprocess  # only a manifest being written needs it
+
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "HEAD"],

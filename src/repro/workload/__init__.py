@@ -18,12 +18,17 @@ Modules:
   for the conditional-conflict extension experiments.
 """
 
-from repro.workload.arrivals import bursty_arrivals, poisson_arrivals
-from repro.workload.deadlines import assign_deadline
-from repro.workload.generator import WorkloadGenerator, generate_workload
-from repro.workload.programs import TreeWorkloadGenerator
-from repro.workload.serialization import load_workload, save_workload
-from repro.workload.types import TransactionType, make_type_table
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workload.arrivals import bursty_arrivals, poisson_arrivals
+    from repro.workload.deadlines import assign_deadline
+    from repro.workload.generator import WorkloadGenerator, generate_workload
+    from repro.workload.programs import TreeWorkloadGenerator
+    from repro.workload.serialization import load_workload, save_workload
+    from repro.workload.types import TransactionType, make_type_table
 
 __all__ = [
     "TransactionType",
@@ -37,3 +42,12 @@ __all__ = [
     "poisson_arrivals",
     "save_workload",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workload.arrivals": ("bursty_arrivals", "poisson_arrivals"),
+    "repro.workload.deadlines": ("assign_deadline",),
+    "repro.workload.generator": ("WorkloadGenerator", "generate_workload"),
+    "repro.workload.programs": ("TreeWorkloadGenerator",),
+    "repro.workload.serialization": ("load_workload", "save_workload"),
+    "repro.workload.types": ("TransactionType", "make_type_table"),
+})

@@ -1,10 +1,11 @@
 """Byte-for-byte pins on the four check CLIs' machine-facing output.
 
 ``data/`` holds, for ``repro lint``, ``certify``, ``analyze`` and
-``mc``, the exact ``--list-rules`` catalog and one JSON report each,
-recorded from the CLIs as they are run below.  Rule text, catalog
-layout, JSON shape and exit codes must not move when the CLI plumbing
-behind them is refactored; a deliberate change re-records the file.
+``mc``, the exact ``--list-rules`` catalog and one JSON report each
+(plus ``mc``'s text report on a table), recorded from the CLIs as they
+are run below.  Rule text, catalog layout, JSON shape and exit codes
+must not move when the CLI plumbing behind them is refactored; a
+deliberate change re-records the file.
 """
 
 from pathlib import Path
@@ -47,6 +48,14 @@ PINS = [
         ["mc", "tie-twins", "--policy", "EDF-HP", "--format", "json"],
         0,
     ),
+    # A table has no sweep cells; mc checks its base cell.
+    ("mc_table1.txt", ["mc", "table1", "--take", "3"], 0),
+]
+
+#: Command lines that must end as usage errors: exit 2, ``error:`` on
+#: stderr, nothing on stdout.
+USAGE_ERRORS = [
+    ("mc_unknown_policy", ["mc", "tie-twins", "--policy", "NOPE"]),
 ]
 
 
@@ -58,3 +67,14 @@ def test_output_matches_pin(name, argv, exit_code, monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     assert main(argv) == exit_code
     assert capsys.readouterr().out == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for _, argv in USAGE_ERRORS], ids=[name for name, _ in USAGE_ERRORS]
+)
+def test_usage_error_exits_2(argv, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -309,43 +309,56 @@ class TestSafePut:
 
 
 class TestCrashSafety:
-    """Atomic, durable writes: a killed worker never corrupts the cache."""
+    """Atomic writes and self-healing reads: a killed worker or host
+    never gets a damaged entry served."""
 
-    def test_put_fsyncs_before_publishing(
-        self, tmp_path, small_config, result, monkeypatch
+    def test_entry_truncated_at_every_offset_is_never_served(
+        self, tmp_path, small_config, result
     ):
-        """The data must be forced to disk *before* os.replace makes the
-        entry visible — rename-then-sync leaves a window where a host
-        crash publishes a truncated entry."""
-        calls = []
-        real_fsync, real_replace = os.fsync, os.replace
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd))[1]
-        )
-        monkeypatch.setattr(
-            os,
-            "replace",
-            lambda src, dst: (
-                calls.append("replace"), real_replace(src, dst)
-            )[1],
-        )
-        ResultCache(tmp_path).put(small_config, 1, "CCA", result)
-        assert "fsync" in calls and "replace" in calls
-        assert calls.index("fsync") < calls.index("replace")
+        """What a host crash can leave of an unsynced entry: any prefix
+        of its bytes at the final path.  Every prefix reads as a miss,
+        is deleted, and is never returned; the whole entry still hits."""
+        cache = ResultCache(tmp_path)
+        path = cache.put(small_config, 3, "CCA", result)
+        whole = path.read_bytes()
+        for offset in range(len(whole)):
+            path.write_bytes(whole[:offset])
+            assert cache.get(small_config, 3, "CCA") is None, offset
+            assert not path.exists(), offset
+        assert (cache.counters.hits, cache.counters.discarded) == (0, len(whole))
+        path.write_bytes(whole)
+        assert cache.get(small_config, 3, "CCA") == result
 
     def test_interrupted_write_leaves_no_entry(
         self, tmp_path, small_config, result, monkeypatch
     ):
-        """A crash mid-write (simulated: fsync explodes) must leave the
-        final path absent — the next run gets a clean miss, never a
-        truncated read — and must not leak the temp file."""
-        def boom(fd):
-            raise OSError(5, "injected I/O error")
+        """A write that fails halfway (simulated: the disk fills) must
+        leave the final path absent — the next run gets a clean miss,
+        never a truncated read — and must not leak the temp file."""
+        real_fdopen = os.fdopen
 
-        monkeypatch.setattr(os, "fsync", boom)
+        class HalfWrite:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError(28, "injected: no space left on device")
+
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, *a, **kw: HalfWrite(real_fdopen(fd, *a, **kw))
+        )
         cache = ResultCache(tmp_path)
         with pytest.raises(OSError):
             cache.put(small_config, 1, "CCA", result)
+        monkeypatch.undo()
         key = cache_key(small_config, 1, "CCA")
         assert not cache.path_for(key).exists()
         leftovers = [
