@@ -2,8 +2,8 @@
 
 Two promises under test:
 
-* **Off is free.**  With no memory budget and no fallback policy, no
-  guardrail state is bound anywhere — the off path is the old code
+* **Off is free.**  With no memory budget, no guardrail state is bound
+  anywhere — the off path is the old code
   (same structural guarantee as ``test_prof_overhead.py``), and the
   budget-guard branch costs one ``is not None`` check per 512 events.
 * **On is bounded.**  A JSONL-spilled trace holds O(1) events in
@@ -23,7 +23,7 @@ from repro.config import SimulationConfig
 from repro.core.kernel import KernelSimulator
 from repro.core.policy import make_policy
 from repro.core.simulator import RTDBSimulator
-from repro.experiments.parallel import RetryPolicy, resolve_fallback, simulate_cell
+from repro.experiments.parallel import RetryPolicy, simulate_cell
 from repro.sim.stream import JsonlSink
 from repro.tracing import EventLog
 from repro.workload.generator import generate_workload
@@ -66,15 +66,13 @@ def test_memory_guard_overhead_within_budget():
 
 def test_disabled_guardrails_bind_nothing():
     """With guardrails off, nothing is bound anywhere: no memory limit
-    on either engine, no fallback policy in the executor defaults, no
-    envelope wrapping on the bare cell path — structural, not
-    statistical."""
+    on either engine, no envelope wrapping on the bare cell path —
+    structural, not statistical."""
     workload = generate_workload(CONFIG, 1)
     policy = make_policy("CCA", penalty_weight=CONFIG.penalty_weight)
     assert KernelSimulator(CONFIG, workload, policy).max_memory_mb is None
     assert RTDBSimulator(CONFIG, workload, policy).max_memory_mb is None
     assert RetryPolicy().memory_mb is None
-    assert resolve_fallback(None) is None
     # The plain cell path returns the result itself — no envelope
     # indirection.
     outcome = simulate_cell(CONFIG.replace(n_transactions=30), 1, "CCA")

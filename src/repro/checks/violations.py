@@ -51,8 +51,8 @@ class InvariantViolation(RuntimeError):
     def __reduce__(self):  # type: ignore[override]
         # The default reduce would re-call ``cls(formatted_message)``,
         # which fails code validation; rebuild from the structured
-        # fields instead so violations survive worker pickling (and the
-        # fallback path's failure records keep their context).
+        # fields instead so violations survive worker pickling (and
+        # the cell's failure record keeps their context).
         return (
             _rebuild_violation,
             (

@@ -75,12 +75,14 @@ from repro.experiments.figures import (
     sample_cell,
 )
 from repro.experiments.report import render_figure, write_csv
-from repro.obs.manifest import DEFAULT_RUNS_DIR, build_manifest, write_manifest
 from repro.obs.registry import MetricsRegistry
 from repro.tracing import TraceCounters
 
 #: Everything the CLI can regenerate: paper artifacts plus extensions.
 ALL_RUNNABLE = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
+
+#: Where ``--report`` writes run manifests when given no directory.
+DEFAULT_RUNS_DIR = Path("results") / "runs"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,27 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--fallback",
-        action="store_true",
-        help=(
-            "self-heal kernel-engine cells: a cell that dies with an "
-            "unexpected exception is re-run on the sanitized reference "
-            "engine, a quarantine bundle capturing the failure is "
-            "written, and the run manifest records the fallback "
-            "(see docs/ROBUSTNESS.md)"
-        ),
-    )
-    parser.add_argument(
-        "--quarantine-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help=(
-            "where quarantine bundles land (implies --fallback; "
-            "default: results/quarantine)"
-        ),
-    )
-    parser.add_argument(
         "--faults",
         default=None,
         metavar="SPEC",
@@ -293,9 +274,10 @@ def _write_report(
     failures: Sequence[parallel.CellFailure] = (),
     notes: str = "",
     certification: Optional[dict] = None,
-    engine_fallbacks: Sequence[dict] = (),
     analysis: Optional[dict] = None,
 ) -> Path:
+    from repro.obs.manifest import build_manifest, write_manifest
+
     manifest = build_manifest(
         experiment=figure_id,
         scale=scale.name,
@@ -308,7 +290,6 @@ def _write_report(
         failures=[failure.to_dict() for failure in failures],
         notes=notes,
         certification=certification,
-        engine_fallbacks=engine_fallbacks,
         analysis=analysis,
     )
     return write_manifest(manifest, report_dir)
@@ -392,20 +373,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    fallback = None
-    if args.fallback or args.quarantine_dir is not None:
-        from repro.experiments.quarantine import FallbackPolicy
-
-        try:
-            fallback = (
-                FallbackPolicy(quarantine_dir=str(args.quarantine_dir))
-                if args.quarantine_dir is not None
-                else FallbackPolicy()
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     installed_faults = False
     if args.faults is not None:
         try:
@@ -425,7 +392,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cache=cache,
             retry=retry,
             sanitize=args.sanitize,
-            fallback=fallback if fallback is not None else parallel.UNSET,
         ):
             return _run_experiments(args, scale)
     finally:
@@ -435,7 +401,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _run_experiments(args, scale: ExperimentScale) -> int:
     parallel.take_failures()  # drop records left over from earlier calls
-    parallel.take_fallbacks()
     if args.experiment == "validate":
         from repro.experiments.report import render_kernel_digest
         from repro.experiments.validation import (
@@ -453,7 +418,6 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
         with parallel.execution(trace=counters, metrics=registry):
             checks = validate_all(scale) + validate_ext_occ(scale)
         failures = parallel.take_failures()
-        fallbacks = parallel.take_fallbacks()
         print(render_report(checks))
         elapsed = time.time() - started
         print(f"[validated in {elapsed:.1f}s at scale={scale.name}]")
@@ -464,10 +428,6 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
             print(digest)
         if failures:
             print(_failure_summary("validate", failures))
-        if fallbacks:
-            from repro.experiments.report import render_engine_fallbacks
-
-            print(render_engine_fallbacks(fallbacks))
         analysis_clean = True
         if getattr(args, "analyze", False):
             from repro.analyze.report import render_analysis_digest
@@ -494,7 +454,6 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
                 elapsed=elapsed,
                 failures=failures,
                 notes="aggregate over every figure's validation sweeps and ext-occ",
-                engine_fallbacks=fallbacks,
             )
             print(f"wrote manifest {path}")
         dropped = any(not failure.recovered for failure in failures)
@@ -529,7 +488,6 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
                 result = ALL_RUNNABLE[figure_id](scale)
         except parallel.SweepError as exc:
             failures = parallel.take_failures()
-            parallel.take_fallbacks()  # don't leak into the next figure
             print(f"error: {figure_id} aborted: {exc}", file=sys.stderr)
             if failures:
                 print(_failure_summary(figure_id, failures), file=sys.stderr)
@@ -547,7 +505,6 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
             )
             return 130
         failures = parallel.take_failures()
-        fallbacks = parallel.take_fallbacks()
         print(render_figure(result))
         certification_section = None
         if want_certify:
@@ -607,10 +564,6 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
             any_dropped = any_dropped or any(
                 not failure.recovered for failure in failures
             )
-        if fallbacks:
-            from repro.experiments.report import render_engine_fallbacks
-
-            print(render_engine_fallbacks(fallbacks))
         if args.report is not None and registry is not None:
             path = _write_report(
                 figure_id,
@@ -621,7 +574,6 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
                 elapsed=elapsed,
                 failures=failures,
                 certification=certification_section,
-                engine_fallbacks=fallbacks,
                 analysis=analysis_section,
             )
             print(f"wrote manifest {path}")
@@ -904,32 +856,27 @@ def profile_main(argv: Sequence[str]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# `repro replay` — reproduce a bundled failure bit-for-bit
+# `repro replay` — reproduce a model-check counterexample bit-for-bit
 # ---------------------------------------------------------------------------
 
 def build_replay_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro replay",
         description=(
-            "Replay a failure bundle bit-for-bit.  Quarantine bundles "
-            "(engine-fallback path): rebuild the failed cell's exact "
-            "configuration, seed, policy, and fault schedule, re-run it "
-            "on the kernel engine, and verify the same exception, "
-            "message, and trace tail.  Model-check bundles (repro mc "
-            "counterexamples): replay the recorded choice vector "
+            "Replay a model-check counterexample bundle (written by "
+            "repro mc) bit-for-bit: re-run the recorded choice vector "
             "through the controlled engine and verify the same rule "
             "fires with an identical trace digest.  Exit 0 when it "
             "matches, 1 when it does not (the defect is fixed, or "
-            "drifted), 2 on a bad bundle."
+            "drifted), 2 on a bad or non-model-check bundle."
         ),
     )
     parser.add_argument(
         "bundle",
         type=Path,
         help=(
-            "a bundle directory (or its bundle.json): a quarantine "
-            "bundle under results/quarantine/ or a model-check "
-            "counterexample under results/mc/"
+            "a model-check counterexample directory (or its bundle.json), "
+            "e.g. under results/mc/"
         ),
     )
     parser.add_argument(
@@ -944,64 +891,10 @@ def build_replay_parser() -> argparse.ArgumentParser:
 def replay_main(argv: Sequence[str]) -> int:
     import json
 
-    from repro.experiments.quarantine import load_bundle, replay_bundle
-    from repro.modelcheck.bundle import MC_BUNDLE_KIND, bundle_kind
-
-    args = build_replay_parser().parse_args(argv)
-    if bundle_kind(args.bundle) == MC_BUNDLE_KIND:
-        return _replay_mc(args)
-    try:
-        doc = load_bundle(args.bundle)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = replay_bundle(args.bundle)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["matched"] else 1
-    cell = doc["cell"]
-    print(
-        f"bundle {args.bundle}: policy={cell['policy']} "
-        f"seed={cell['seed']} attempt={doc['attempt']} "
-        f"scenario={doc['scenario_hash'][:12]}"
-    )
-    print(
-        f"quarantined failure: {doc['exception']}: {doc['message']}"
-    )
-    if not report["reproduced_at_capture"]:
-        print(
-            "note: the traced capture raised a different error than the "
-            "original (untraced) failure; the capture is the replay "
-            "reference point"
-        )
-    if report["matched"]:
-        print(
-            f"REPRODUCED: {report['actual']['exception'] or 'no error'} "
-            "— exception, message, and trace tail all match the bundle"
-        )
-        return 0
-    expected, actual = report["expected"], report["actual"]
-    print("NOT REPRODUCED:")
-    print(
-        f"  expected: {expected['exception']}: {expected['message']}"
-    )
-    print(f"  actual:   {actual['exception']}: {actual['message']}")
-    if not report["tail_matched"]:
-        print("  trace tails differ")
-    return 1
-
-
-def _replay_mc(args) -> int:
-    """Replay a model-check counterexample bundle (kind repro-mc-bundle)."""
-    import json
-
     from repro.modelcheck.bundle import replay_mc_bundle
     from repro.modelcheck.decider import ReplayDivergence
 
+    args = build_replay_parser().parse_args(argv)
     try:
         report = replay_mc_bundle(args.bundle)
     except (OSError, ValueError, KeyError, ReplayDivergence) as exc:

@@ -27,12 +27,6 @@ inject and which :data:`fault kind <FAULT_KINDS>`:
     (serial) execution never kills the test runner.
 ``interrupt``
     Raise ``KeyboardInterrupt``, simulating Ctrl-C landing mid-sweep.
-``kernel``
-    Raise :class:`InjectedKernelFault`, simulating an unexpected defect
-    inside the kernel engine.  With engine fallback active the guarded
-    cell runner fires it *inside* its healing scope, so the cell
-    recovers on the reference engine; otherwise it is an ordinary
-    retryable worker exception.
 
 The decision hashes ``(plan seed, cell key material)`` — nothing about
 process identity or wall time — and faults only fire while
@@ -62,9 +56,8 @@ from typing import Optional
 #: Environment variable carrying the serialized fault plan into workers.
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Injectable fault kinds, in spec-string order.  ``kernel`` is last so
-#: adding it never reshuffled which cells the earlier kinds hit.
-FAULT_KINDS = ("crash", "hang", "corrupt", "die", "interrupt", "kernel")
+#: Injectable fault kinds, in spec-string order.
+FAULT_KINDS = ("crash", "hang", "corrupt", "die", "interrupt")
 
 #: What a ``corrupt`` fault returns in place of a simulation result.
 CORRUPT_PAYLOAD = "__repro_corrupt_payload__"
@@ -80,15 +73,6 @@ class InjectedCrash(InjectedFault):
 
 class InjectedHang(InjectedFault):
     """Raised after a ``hang`` fault finishes sleeping."""
-
-
-class InjectedKernelFault(InjectedFault):
-    """A simulated kernel-engine defect (unexpected cell exception).
-
-    Raised from *inside* the guarded cell runner when engine fallback is
-    active — exercising the kernel→reference self-healing path — and
-    like any other worker exception otherwise.
-    """
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,7 +92,6 @@ class FaultPlan:
     corrupt: float = 0.0
     die: float = 0.0
     interrupt: float = 0.0
-    kernel: float = 0.0
     max_failures: int = 1
     """Faults fire only while ``attempt <= max_failures`` — the fault is
     *transient* and bounded retries outlast it.  Use a huge value for
@@ -235,19 +218,6 @@ def _in_child_process() -> bool:
     return mp is not None and mp.parent_process() is not None
 
 
-def inject_kernel_fault(key_material: str, attempt: int) -> None:
-    """Raise the canonical kernel fault for this cell attempt.
-
-    Shared by every site that fires a ``kernel`` fault — the plain
-    worker path, the guarded runner, and quarantine replay — so the
-    exception type *and message* are identical everywhere and a replay
-    can match the original failure exactly.
-    """
-    raise InjectedKernelFault(
-        f"injected kernel fault for {key_material} attempt {attempt}"
-    )
-
-
 def maybe_inject(key_material: str, attempt: int) -> Optional[str]:
     """Fire the scheduled fault for this cell attempt, if any.
 
@@ -276,8 +246,6 @@ def maybe_inject(key_material: str, attempt: int) -> Optional[str]:
         raise KeyboardInterrupt(
             f"injected interrupt for {key_material} attempt {attempt}"
         )
-    if kind == "kernel":
-        inject_kernel_fault(key_material, attempt)
     if kind == "die":
         os._exit(13)
     return CORRUPT_PAYLOAD

@@ -56,16 +56,14 @@ from repro.experiments.cache import ResultCache, cache_key
 from repro.obs.registry import MetricsRegistry
 from repro.occ.simulator import OCCSimulator
 from repro.rtdb.transaction import TransactionSpec
-from repro.sim.engine import BudgetExceeded
 from repro.workload.generator import generate_workload
 
 # Imported where they are used: the process pool by the first sweep that
-# builds one, the fallback, the multiprocessor engine and the profiler
-# by the cells that ask for them.  A ``jobs=1`` sweep loads none of them.
+# builds one, the multiprocessor engine and the profiler by the cells
+# that ask for them.  A ``jobs=1`` sweep loads none of them.
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.experiments.quarantine import FallbackPolicy
     from repro.mp.simulator import MultiprocessorSimulator
     from repro.obs.prof import SpanProfiler
 
@@ -252,9 +250,6 @@ class SweepStats:
     cache_put_errors: int = 0
     failures: list[CellFailure] = dataclasses.field(default_factory=list)
     """Per-cell failure records (recovered and terminal), in key order."""
-    engine_fallbacks: list[dict] = dataclasses.field(default_factory=list)
-    """Kernel→reference fallback records (manifest ``engine_fallbacks``
-    section, schema v5), in cell-key order."""
 
     @property
     def sims_per_sec(self) -> float:
@@ -325,8 +320,7 @@ class CellEngine:
     family takes ``trace``, ``max_wall_s`` and ``max_memory_mb``; only
     ``locking`` (:func:`~repro.core.factory.make_simulator`, so
     ``engine="auto"`` picks the kernel) also takes a metrics registry, a
-    profiler and kernel introspection, and only it can heal onto the
-    reference engine under a :class:`FallbackPolicy`.
+    profiler and kernel introspection.
     """
 
     family: str
@@ -363,9 +357,7 @@ class CellOptions:
     calls; it is closed once the call returns, so a spilled stream is
     complete.  ``observe`` gives each label a private metrics registry
     (kernel introspection, stage timings) and ``profile`` a span
-    profiler, both shipped back in the outcome.  ``fallback`` heals
-    kernel failures of locking labels onto the reference engine (see
-    :mod:`repro.experiments.quarantine`).
+    profiler, both shipped back in the outcome.
     """
 
     max_wall_s: Optional[float] = None
@@ -373,7 +365,6 @@ class CellOptions:
     trace: Optional[TraceHook] = None
     observe: bool = False
     profile: bool = False
-    fallback: Optional[FallbackPolicy] = None
 
 
 @dataclasses.dataclass
@@ -386,9 +377,7 @@ class CellOutcome:
     (plus the workload generation, for the label that records it).
     ``deltas`` is the label's registry snapshot (``observe``),
     ``prof_state`` its :meth:`SpanProfiler.export_state` (``profile``),
-    ``fallback`` the ``engine_fallback`` record of a healed label (minus
-    the cell coordinates the executor adds), and ``workload`` the specs
-    a traced label ran on.
+    and ``workload`` the specs a traced label ran on.
     """
 
     result: Any = None
@@ -396,7 +385,6 @@ class CellOutcome:
     wall_ms: float = 0.0
     deltas: Optional[dict] = None
     prof_state: Optional[dict] = None
-    fallback: Optional[dict] = None
     workload: Optional[Workload] = None
 
     def checked(self) -> "CellOutcome":
@@ -480,46 +468,14 @@ def _run_label(
 ) -> CellOutcome:
     """One label of :func:`run_cell`: its scheduled fault, then the run.
 
-    A locking label under ``options.fallback`` runs inside the healing
-    scope: there the ``kernel`` fault fires as a stand-in for an engine
-    defect, and a failed kernel run is quarantined and re-run on the
-    sanitized reference engine (both engines are bit-identical).  Other
-    faults model *worker* failures and fire outside the scope.  Budget
-    aborts never heal: a budget blown on the fast engine is blown worse
-    on the slow one, so they keep their partial-progress record.
+    An engine's exception (the kernel's included) propagates, and the
+    executor records it as this cell's :class:`CellFailure`.
     """
-    key = scheduled = None
     if plan is not None:
-        key = cache_key(config, seed, label)
-        scheduled = plan.decide(key, attempt)
-    guarded = options.fallback is not None and cell_engine(label).locking
-    if scheduled is not None and not (guarded and scheduled == "kernel"):
-        injected = faults.maybe_inject(key, attempt)
+        injected = faults.maybe_inject(cache_key(config, seed, label), attempt)
         if injected is not None:
             return CellOutcome(result=injected)  # CORRUPT_PAYLOAD, for validation
-    if not guarded:
-        return _simulate_label(config, seed, label, workload, options, generated)
-    try:
-        if scheduled == "kernel":
-            faults.inject_kernel_fault(key, attempt)
-        return _simulate_label(config, seed, label, workload, options, generated)
-    except (BudgetExceeded, MemoryError):
-        raise
-    except Exception as exc:
-        from repro.experiments.quarantine import kernel_eligible, quarantine_failure
-
-        if not kernel_eligible(config):
-            raise
-        record = quarantine_failure(
-            config, seed, label, attempt, exc,
-            max_wall_s=options.max_wall_s,
-            max_memory_mb=options.max_memory_mb,
-            fallback=options.fallback,
-        )
-        healed = config.replace(engine="reference", sanitize=True)
-        outcome = _simulate_label(healed, seed, label, workload, options, generated)
-        outcome.fallback = record
-        return outcome
+    return _simulate_label(config, seed, label, workload, options, generated)
 
 
 def _simulate_label(
@@ -642,11 +598,6 @@ class ExecutionDefaults:
     ship their recordings back; the parent folds them in (cell-key
     order) together with its own sweep-stage spans.  Results are
     bit-identical with or without it."""
-    fallback: Optional[FallbackPolicy] = None
-    """Engine self-healing policy: kernel-cell failures quarantine and
-    re-run on the sanitized reference engine (see
-    :mod:`repro.experiments.quarantine`).  ``None`` (the default) binds
-    no fallback hooks on the worker path."""
 
 
 _DEFAULTS = ExecutionDefaults()
@@ -664,7 +615,6 @@ def configure(
     retry: object = UNSET,
     sanitize: object = UNSET,
     profile: object = UNSET,
-    fallback: object = UNSET,
 ) -> None:
     """Set process-wide execution defaults (omitted fields keep theirs)."""
     if jobs is not UNSET:
@@ -681,8 +631,6 @@ def configure(
         _DEFAULTS.sanitize = sanitize  # type: ignore[assignment]
     if profile is not UNSET:
         _DEFAULTS.profile = profile  # type: ignore[assignment]
-    if fallback is not UNSET:
-        _DEFAULTS.fallback = fallback  # type: ignore[assignment]
 
 
 @contextlib.contextmanager
@@ -694,7 +642,6 @@ def execution(
     retry: object = UNSET,
     sanitize: object = UNSET,
     profile: object = UNSET,
-    fallback: object = UNSET,
 ) -> Iterator[None]:
     """Temporarily override execution defaults (nestable).
 
@@ -712,7 +659,6 @@ def execution(
             retry=retry,
             sanitize=sanitize,
             profile=profile,
-            fallback=fallback,
         )
         yield
     finally:
@@ -724,7 +670,6 @@ def execution(
             retry=saved.retry,
             sanitize=saved.sanitize,
             profile=saved.profile,
-            fallback=saved.fallback,
         )
 
 
@@ -769,17 +714,9 @@ def resolve_profile(profile: Optional[SpanProfiler]) -> Optional[SpanProfiler]:
     return profile if profile is not None else _DEFAULTS.profile
 
 
-def resolve_fallback(
-    fallback: Optional[FallbackPolicy],
-) -> Optional[FallbackPolicy]:
-    return fallback if fallback is not None else _DEFAULTS.fallback
-
-
 _LAST_STATS = SweepStats()
 
 _SESSION_FAILURES: list[CellFailure] = []
-
-_SESSION_FALLBACKS: list[dict] = []
 
 
 def last_stats() -> SweepStats:
@@ -795,15 +732,6 @@ def take_failures() -> list[CellFailure]:
     """
     global _SESSION_FAILURES
     drained, _SESSION_FAILURES = _SESSION_FAILURES, []
-    return drained
-
-
-def take_fallbacks() -> list[dict]:
-    """Drain the engine-fallback records accumulated since the last
-    call — same per-experiment collection contract as
-    :func:`take_failures`."""
-    global _SESSION_FALLBACKS
-    drained, _SESSION_FALLBACKS = _SESSION_FALLBACKS, []
     return drained
 
 
@@ -846,7 +774,6 @@ class _SweepRunner:
         retry: RetryPolicy,
         stats: SweepStats,
         profile: Optional[SpanProfiler] = None,
-        fallback: Optional[FallbackPolicy] = None,
         keys: Optional[Mapping[CellKey, str]] = None,
     ) -> None:
         self.pending = list(pending)
@@ -862,7 +789,6 @@ class _SweepRunner:
             max_memory_mb=retry.memory_mb,
             observe=metrics is not None,
             profile=profile is not None,
-            fallback=fallback,
         )
         self.keys = keys if keys is not None else {}
         """Cell key -> cache key, computed once at lookup."""
@@ -1039,20 +965,6 @@ class _SweepRunner:
     # -- per-cell outcomes -------------------------------------------------
 
     def _complete(self, cell: SweepCell, outcome: CellOutcome) -> None:
-        if outcome.fallback is not None:
-            record = {
-                "cell": {"x": cell.x, "policy": cell.policy, "seed": cell.seed},
-                **outcome.fallback,
-            }
-            self.stats.engine_fallbacks.append(record)
-            if self.trace is not None:
-                self.trace(
-                    "sweep_engine_fallback",
-                    x=cell.x,
-                    policy=cell.policy,
-                    seed=cell.seed,
-                    error=outcome.fallback.get("exception"),
-                )
         prof = self.profile
         if outcome.deltas is not None and self.metrics is not None:
             from repro.obs.prof import observe_stage
@@ -1203,7 +1115,6 @@ def execute_cells(
     metrics: Optional[MetricsRegistry] = None,
     retry: Optional[RetryPolicy] = None,
     profile: Optional[SpanProfiler] = None,
-    fallback: Optional[FallbackPolicy] = None,
 ) -> dict[CellKey, SimulationResult]:
     """Run every cell, in parallel where possible; results keyed and
     ordered by :data:`CellKey`.
@@ -1246,7 +1157,6 @@ def execute_cells(
     metrics = resolve_metrics(metrics)
     retry = resolve_retry(retry)
     profile = resolve_profile(profile)
-    fallback = resolve_fallback(fallback)
 
     if resolve_sanitize():
         # Sanitized cells carry config.sanitize=True, which flows to the
@@ -1310,7 +1220,6 @@ def execute_cells(
                 retry=retry,
                 stats=stats,
                 profile=profile,
-                fallback=fallback,
                 keys=keys,
             )
             runner.run()
@@ -1325,7 +1234,6 @@ def execute_cells(
                 runner.failures.values(), key=lambda failure: failure.key
             )
             _SESSION_FAILURES.extend(stats.failures)
-            _SESSION_FALLBACKS.extend(stats.engine_fallbacks)
         _LAST_STATS = stats
 
     if metrics is not None:
@@ -1340,7 +1248,6 @@ def execute_cells(
             ("sweep.pool_rebuilds", stats.pool_rebuilds),
             ("sweep.cells_skipped", stats.cells_skipped),
             ("sweep.cache_put_errors", stats.cache_put_errors),
-            ("sweep.engine_fallbacks", len(stats.engine_fallbacks)),
         ):
             if value:
                 metrics.counter(name).inc(value)

@@ -75,30 +75,6 @@ def render_certification(samples) -> str:
     return "\n".join(lines)
 
 
-def render_engine_fallbacks(records) -> str:
-    """One line per kernel cell healed onto the reference engine.
-
-    ``records`` is a sequence of engine-fallback dicts (see
-    :func:`repro.experiments.parallel.take_fallbacks`); the full records
-    live in the run manifest — this is the console digest.
-    """
-    if not records:
-        return ""
-    lines = [f"[engine fallbacks: {len(records)} kernel cell(s) healed onto "
-             "the reference engine]"]
-    for record in records:
-        cell = record.get("cell", {})
-        bundle = record.get("bundle")
-        where = f" bundle={bundle}" if bundle else ""
-        repro_note = "" if record.get("reproduced") else " (not reproduced)"
-        lines.append(
-            f"  cell x={cell.get('x', '?')} policy={cell.get('policy', '?')} "
-            f"seed={cell.get('seed', '?')}: {record.get('exception', '?')}"
-            f"{repro_note}{where}"
-        )
-    return "\n".join(lines)
-
-
 def _series_parts(key: str) -> tuple[str, dict]:
     """Split a registry series key ``name{k=v,...}`` into name + labels."""
     if "{" not in key:

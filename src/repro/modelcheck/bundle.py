@@ -10,18 +10,18 @@ the violation verdict and a digest of the full event trace:
   directly consumable by ``repro certify --events``.
 
 ``repro replay <bundle>`` re-executes the schedule from the recorded
-choices and verifies the same rule fires with a bit-identical trace —
-the same contract quarantine bundles keep for engine failures.
+choices and verifies the same rule fires with a bit-identical trace.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
-from typing import Optional
 
-from repro.experiments.quarantine import _atomic_write_json, config_from_dict
+from repro.config import SimulationConfig
 from repro.modelcheck.explorer import Exploration, run_schedule
 from repro.modelcheck.mutants import get_mutant
 from repro.workload.serialization import load_workload, save_workload
@@ -40,6 +40,31 @@ def trace_digest(events: list[dict]) -> str:
         digest.update(json.dumps(event, sort_keys=True).encode())
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def config_from_dict(fields: dict) -> SimulationConfig:
+    """Rebuild a config from its ``canonical_dict`` form (JSON lists
+    become the tuples the frozen dataclass carries)."""
+    restored = {
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in fields.items()
+    }
+    return SimulationConfig(**restored)
+
+
+def _atomic_write_json(path: Path, doc: dict) -> None:
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def write_mc_bundle(
@@ -81,31 +106,18 @@ def load_mc_bundle(path: str | Path) -> dict:
         path = path / "bundle.json"
     with open(path) as handle:
         doc = json.load(handle)
-    if not isinstance(doc, dict) or doc.get("kind") != MC_BUNDLE_KIND:
-        raise ValueError(f"{path}: not a model-check bundle")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind != MC_BUNDLE_KIND:
+        raise ValueError(
+            f"{path}: not a model-check bundle (kind {kind!r}, "
+            f"expected {MC_BUNDLE_KIND!r})"
+        )
     if doc.get("schema") != MC_BUNDLE_SCHEMA:
         raise ValueError(
             f"{path}: bundle schema {doc.get('schema')!r}, "
             f"expected {MC_BUNDLE_SCHEMA}"
         )
     return doc
-
-
-def bundle_kind(path: str | Path) -> Optional[str]:
-    """The ``kind`` field of a bundle document, or None if unreadable.
-
-    ``repro replay`` peeks at this to dispatch between quarantine and
-    model-check bundles without either loader rejecting the other's.
-    """
-    path = Path(path)
-    if path.is_dir():
-        path = path / "bundle.json"
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return doc.get("kind") if isinstance(doc, dict) else None
 
 
 def replay_mc_bundle(path: str | Path) -> dict:

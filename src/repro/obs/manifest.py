@@ -35,23 +35,21 @@ from repro.obs.prof import timing_section
 #: deterministically across worker processes; ``enabled: false`` with
 #: no stages when the run recorded none).
 #: v5: added the required ``engine_fallbacks`` section (kernel cells
-#: healed onto the sanitized reference engine, with their quarantine
-#: bundle paths; an empty list when no cell fell back).
+#: healed onto the sanitized reference engine).
 #: v6: added the required ``analysis`` section (static analyzer
 #: verdicts, conflict-graph metrics, and per-cell feasibility
 #: predictions from ``--analyze``; ``enabled: false`` when the flag
 #: was off).
-MANIFEST_SCHEMA_VERSION = 6
+#: v7: dropped the ``engine_fallbacks`` section with the fallback
+#: itself; a kernel exception is an ordinary entry in ``failures``.
+MANIFEST_SCHEMA_VERSION = 7
 
 #: Schema versions :func:`validate_manifest` accepts: only the current
 #: one, which every manifest writer in the package emits.
-ACCEPTED_SCHEMA_VERSIONS = (6,)
+ACCEPTED_SCHEMA_VERSIONS = (7,)
 
 #: Document type marker, so a manifest is self-identifying.
 MANIFEST_KIND = "repro-run-manifest"
-
-#: Default output directory for manifests.
-DEFAULT_RUNS_DIR = Path("results") / "runs"
 
 #: Keys every valid manifest must carry, with their required types.
 _REQUIRED_FIELDS: dict[str, type | tuple[type, ...]] = {
@@ -130,7 +128,6 @@ def build_manifest(
     failures: Sequence[Mapping] = (),
     notes: str = "",
     certification: Optional[Mapping] = None,
-    engine_fallbacks: Sequence[Mapping] = (),
     analysis: Optional[Mapping] = None,
 ) -> dict:
     """Assemble a manifest document (JSON-ready dict).
@@ -142,7 +139,8 @@ def build_manifest(
     across worker processes.  ``failures`` holds per-cell failure
     records (see
     :meth:`repro.experiments.parallel.CellFailure.to_dict`) — cells
-    that crashed, hung, or returned corrupt payloads, whether a retry
+    that raised (in the engine or the worker), hung, or returned
+    corrupt payloads, whether a retry
     later recovered them (``recovered: true``) or they were dropped.
     ``certification`` is the ``--certify`` section (see
     :func:`repro.certify.runner.certification_section`); ``None`` means
@@ -150,9 +148,7 @@ def build_manifest(
     The ``timing`` section is derived from the snapshot's
     ``prof.stage_ms`` histograms (:func:`repro.obs.prof.timing_section`)
     — per-stage wall-time summaries observed cells record as they run.
-    ``engine_fallbacks`` (schema v5) lists kernel cells the sweep healed
-    onto the sanitized reference engine, each with the failure that
-    triggered it and its quarantine bundle path.  ``analysis`` (schema
+    ``analysis`` (schema
     v6) is the ``--analyze`` section (see
     :func:`repro.analyze.runner.analysis_section`): static equivalence
     verdicts, conflict-graph metrics, and per-cell feasibility
@@ -180,7 +176,6 @@ def build_manifest(
             else {"enabled": False, "cells": []}
         ),
         "timing": timing_section(metrics_snapshot),
-        "engine_fallbacks": [dict(record) for record in engine_fallbacks],
         "analysis": (
             dict(analysis) if analysis is not None else {"enabled": False}
         ),
@@ -195,15 +190,15 @@ def manifest_filename(experiment: str, scale: str, created_unix: float) -> str:
     return f"{experiment}-{scale}-{stamp}.json"
 
 
-def write_manifest(manifest: Mapping, directory: Optional[Path | str] = None) -> Path:
-    """Write a manifest under ``directory`` (default ``results/runs/``).
+def write_manifest(manifest: Mapping, directory: Path | str) -> Path:
+    """Write a manifest under ``directory``.
 
     The timestamp in the filename has one-second resolution, so two runs
     of the same experiment landing in the same second would collide; an
     existing file is never overwritten — a ``-1``, ``-2``, … suffix is
     appended instead.
     """
-    directory = Path(directory) if directory is not None else DEFAULT_RUNS_DIR
+    directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / manifest_filename(
         manifest["experiment"], manifest["scale"], manifest["created_unix"]
@@ -277,7 +272,6 @@ def validate_manifest(manifest: Mapping) -> list[str]:
                             f"certification.cells[{index}] missing {key!r}"
                         )
         problems.extend(_validate_timing(manifest.get("timing")))
-        problems.extend(_validate_engine_fallbacks(manifest.get("engine_fallbacks")))
         problems.extend(_validate_analysis(manifest.get("analysis")))
     return problems
 
@@ -321,23 +315,6 @@ def _validate_analysis(analysis: object) -> list[str]:
             for key in ("cell", "predicted"):
                 if key not in cell:
                     problems.append(f"analysis.cells[{index}] missing {key!r}")
-    return problems
-
-
-def _validate_engine_fallbacks(fallbacks: object) -> list[str]:
-    """Problems with a v5 ``engine_fallbacks`` section (empty = valid)."""
-    if not isinstance(fallbacks, list):
-        return [
-            "engine_fallbacks missing or not a list (required by schema v5)"
-        ]
-    problems: list[str] = []
-    for index, record in enumerate(fallbacks):
-        if not isinstance(record, dict):
-            problems.append(f"engine_fallbacks[{index}] is not an object")
-            continue
-        for key in ("cell", "exception", "engine"):
-            if key not in record:
-                problems.append(f"engine_fallbacks[{index}] missing {key!r}")
     return problems
 
 

@@ -1,19 +1,15 @@
 """Bounded-memory trace streaming: sinks that consume events as they fire.
 
 :class:`~repro.tracing.EventLog` materializes a whole run's trace in
-memory, which is exactly what large scenarios cannot afford.  The sinks
-here keep the same hook shape — callable ``(name, **fields)`` — but
-bound what they retain:
+memory, which is exactly what large scenarios cannot afford.
+:class:`JsonlSink` keeps the same hook shape — callable ``(name,
+**fields)`` — but spills every record straight to disk as JSON lines,
+holding O(1) events in memory; the file is readable back with
+:func:`iter_jsonl`, which the certifier consumes lazily
+(``certify_events`` is a single forward pass, so a spilled trace
+certifies without ever re-materializing).
 
-* :class:`RingSink` keeps only the last ``capacity`` flattened records
-  (the quarantine bundle's "partial trace").
-* :class:`JsonlSink` spills every record straight to disk as JSON
-  lines, holding O(1) events in memory; the file is readable back with
-  :func:`iter_jsonl`, which the certifier consumes lazily
-  (``certify_events`` is a single forward pass, so a spilled trace
-  certifies without ever re-materializing).
-
-All sinks flatten transaction-like values to their tid through
+Sinks flatten transaction-like values to their tid through
 :func:`flatten_event` — the exact transformation ``EventLog.__call__``
 applies — so a spilled stream is byte-identical to an in-memory log
 serialized with ``to_jsonl``.
@@ -23,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from pathlib import Path
 from typing import Any, Iterator, Protocol, runtime_checkable
 
@@ -61,39 +56,6 @@ class TraceSink(Protocol):
     def close(self) -> None: ...
 
     def __iter__(self) -> Iterator[dict[str, Any]]: ...
-
-
-class RingSink:
-    """Keeps only the most recent ``capacity`` flattened events.
-
-    Memory is O(capacity) regardless of run length; ``total_seen``
-    still counts every event, so a failure report can say "saw 2.1M
-    events, here are the last 256".
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.total_seen = 0
-        self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
-
-    def __call__(self, name: str, **fields: Any) -> None:
-        self.total_seen += 1
-        self._ring.append(flatten_event(name, fields))
-
-    def close(self) -> None:  # pragma: no cover - trivially empty
-        """Nothing buffered outside the ring; closing is a no-op."""
-
-    def tail(self) -> list[dict[str, Any]]:
-        """The retained records, oldest first."""
-        return list(self._ring)
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self.tail())
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
 
 class JsonlSink:

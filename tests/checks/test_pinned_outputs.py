@@ -56,6 +56,12 @@ PINS = [
 #: stderr, nothing on stdout.
 USAGE_ERRORS = [
     ("mc_unknown_policy", ["mc", "tie-twins", "--policy", "NOPE"]),
+    # ``repro replay`` replays only model-check bundles; a leftover
+    # bundle of any other kind is a usage error.
+    (
+        "replay_quarantine_bundle",
+        ["replay", "tests/checks/fixtures/quarantine_bundle"],
+    ),
 ]
 
 

@@ -4,7 +4,7 @@ Every experiment's cells run through one path (``run_cell`` and the
 executor); the label alone picks the locking engines (kernel or
 reference), broadcast-commit OCC, or the multiprocessor engine.  These
 tests hold the dispatch to what the engines give when built by hand,
-and check that budgets, observation, profiling, fallback and cache keys
+and check that budgets, observation, profiling and cache keys
 work for every family.
 """
 
@@ -19,7 +19,6 @@ from repro.experiments import faults, parallel
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.config import ExperimentScale
 from repro.experiments.extensions import occ_cells
-from repro.experiments.faults import FaultPlan
 from repro.experiments.parallel import (
     CorruptResultError,
     RetryPolicy,
@@ -29,11 +28,9 @@ from repro.experiments.parallel import (
     execute_cells,
     CellOptions,
     CellOutcome,
-    last_stats,
     run_cell,
     simulate_cell,
 )
-from repro.experiments.quarantine import FallbackPolicy
 from repro.mp.simulator import MultiprocessorSimulator
 from repro.obs.prof import SpanProfiler
 from repro.obs.registry import MetricsRegistry
@@ -50,11 +47,9 @@ LABELS = ("CCA", "OCC", "CCAx2")
 def _clean_fault_state():
     faults.install(None)
     parallel.take_failures()
-    parallel.take_fallbacks()
     yield
     faults.install(None)
     parallel.take_failures()
-    parallel.take_fallbacks()
 
 
 @pytest.fixture
@@ -182,34 +177,3 @@ class TestObservation:
         plain = execute_cells(cells, jobs=1)
         with parallel.execution(metrics=MetricsRegistry(), profile=SpanProfiler()):
             assert execute_cells(cells, jobs=2) == plain
-
-
-class TestFallback:
-    def test_non_locking_cells_run_unguarded(self, config, tmp_path):
-        cells = cells_for_sweep({0.0: config}, (SEED, SEED + 1), LABELS)
-        fallback = FallbackPolicy(quarantine_dir=str(tmp_path / "quarantine"))
-        assert execute_cells(cells, jobs=1, fallback=fallback) == execute_cells(
-            cells, jobs=1
-        )
-        assert last_stats().engine_fallbacks == []
-
-    @pytest.mark.parametrize("label", ["OCC", "CCAx2"])
-    def test_non_locking_failure_is_not_healed(self, config, tmp_path, label):
-        key = cache_key(config, SEED, label)
-        plan = next(
-            plan
-            for plan in (FaultPlan(seed=s, kernel=0.5, max_failures=1) for s in range(500))
-            if plan.decide(key, 1) == "kernel"
-        )
-        faults.install(plan)
-        quarantine = tmp_path / "quarantine"
-        results = execute_cells(
-            cells_for_sweep({0.0: config}, (SEED,), (label,)),
-            jobs=1,
-            retry=RetryPolicy(on_error="skip", max_attempts=1),
-            fallback=FallbackPolicy(quarantine_dir=str(quarantine)),
-        )
-        assert results == {}
-        assert [f.exception for f in parallel.take_failures()] == ["InjectedKernelFault"]
-        assert parallel.take_fallbacks() == []
-        assert not quarantine.exists()

@@ -19,6 +19,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.kernel import KernelSimulator
 from repro.experiments import faults
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache, cache_key
@@ -30,7 +31,9 @@ from repro.experiments.parallel import (
     execute_cells,
     last_stats,
 )
+from repro.obs.manifest import build_manifest, validate_manifest
 from repro.obs.registry import MetricsRegistry
+from repro.sim import engine as sim_engine
 
 SEEDS = (1, 2, 3)
 RATES = (2.0, 6.0)
@@ -42,17 +45,19 @@ def _clean_fault_state():
     """No fault plan (or stale failure records) leaks across tests."""
     faults.install(None)
     parallel.take_failures()
-    parallel.take_fallbacks()
     yield
     faults.install(None)
     parallel.take_failures()
-    parallel.take_fallbacks()
 
 
 @pytest.fixture
-def cells(mm_config):
-    tiny = mm_config.replace(n_transactions=12)
-    configs = {rate: tiny.replace(arrival_rate=rate) for rate in RATES}
+def tiny_config(mm_config):
+    return mm_config.replace(n_transactions=12)
+
+
+@pytest.fixture
+def cells(tiny_config):
+    configs = {rate: tiny_config.replace(arrival_rate=rate) for rate in RATES}
     return cells_for_sweep(configs, SEEDS, POLICIES)
 
 
@@ -335,11 +340,9 @@ class TestFaultPlanDeterminism:
 class TestKernelEngineChaos:
     """The chaos matrix extended to explicit kernel-engine cells.
 
-    Every invariant above holds when cells *force* ``engine="kernel"``
-    — and the new ``kernel`` fault kind composes with worker faults:
-    with a :class:`FallbackPolicy` active, kernel faults heal onto the
-    reference engine while crashes still retry, converging to the
-    fault-free (all-reference-identical) result.
+    Every invariant above holds when cells *force* ``engine="kernel"``,
+    and an exception raised inside the kernel itself is an ordinary
+    cell failure: recorded, retried, and recovered like any other.
     """
 
     @pytest.fixture
@@ -368,62 +371,80 @@ class TestKernelEngineChaos:
         assert all(failure.recovered for failure in stats.failures)
         assert chaotic == baseline
 
-    def test_kernel_fault_without_fallback_is_retryable(self, kernel_cells):
-        """Without a FallbackPolicy, ``kernel`` faults are ordinary
-        transient worker failures: retries outlast them."""
+    def test_kernel_exception_is_an_ordinary_failure(
+        self, kernel_cells, monkeypatch
+    ):
+        """A kernel that raises on a cell's first attempt fails that
+        cell alone; a retry recovers it, the results equal a clean run,
+        and the failure record fits the manifest schema."""
         baseline = execute_cells(kernel_cells, jobs=1)
-        plan = plan_hitting(kernel_cells, kernel=0.4, max_failures=1)
-        faults.install(plan)
+        target = kernel_cells[-1]
+
+        class KernelDefect(Exception):
+            pass
+
+        clean_run = KernelSimulator.run
+        raised = []
+
+        def run(self):
+            if (
+                not raised
+                and self.config == target.config
+                and self.policy.name == target.policy
+            ):
+                raised.append(True)
+                raise KernelDefect("kernel state corrupted")
+            return clean_run(self)
+
+        monkeypatch.setattr(KernelSimulator, "run", run)
         results = execute_cells(
             kernel_cells,
             jobs=1,
             retry=RetryPolicy(on_error="retry", max_attempts=2),
         )
         stats = last_stats()
+
+        (failure,) = stats.failures
+        assert failure.key[:2] == target.key[:2]
+        assert failure.exception == "KernelDefect"
+        assert failure.message == "kernel state corrupted"
+        assert failure.attempts == 1
+        assert failure.recovered
+        assert stats.retries == 1
         assert results == baseline
-        assert stats.engine_fallbacks == []
-        assert any(
-            f.exception == "InjectedKernelFault" for f in stats.failures
+        manifest = build_manifest(
+            experiment="chaos",
+            scale="test",
+            cells=[
+                (cell.config.canonical_dict(), cell.seed, cell.policy)
+                for cell in kernel_cells
+            ],
+            metrics_snapshot=MetricsRegistry().snapshot(),
+            failures=[f.to_dict() for f in stats.failures],
         )
+        assert validate_manifest(manifest) == []
+        assert manifest["failures"] == [failure.to_dict()]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_mixed_faults_heal_and_retry_to_parity(
-        self, kernel_cells, tmp_path, jobs
-    ):
-        """Kernel faults heal (fallback records), crashes retry
-        (failure records), and the merged output still equals the
-        clean reference run bit-for-bit."""
-        from repro.experiments.quarantine import FallbackPolicy
 
-        reference_cells = [
-            dataclasses.replace(
-                cell, config=cell.config.replace(engine="reference")
-            )
-            for cell in kernel_cells
-        ]
-        baseline = execute_cells(reference_cells, jobs=1)
-
-        plan = plan_hitting(
-            kernel_cells, min_hits=2, crash=0.2, kernel=0.3, max_failures=1
+class TestFailureProgress:
+    def test_budget_failure_carries_progress(self, tiny_config, monkeypatch):
+        monkeypatch.setattr(
+            sim_engine, "rss_bytes", lambda: 10 * 1024 * 1024 * 1024
         )
-        schedule = fault_schedule(plan, kernel_cells)
-        healed_keys = sorted(
-            key for key, kind in schedule.items() if kind == "kernel"
+        cells = cells_for_sweep(
+            {2.0: tiny_config.replace(arrival_rate=2.0)}, (1,), ("CCA",)
         )
-        faults.install(plan)
-        results = execute_cells(
-            kernel_cells,
-            jobs=jobs,
-            retry=RetryPolicy(on_error="retry", max_attempts=3),
-            fallback=FallbackPolicy(quarantine_dir=str(tmp_path)),
+        execute_cells(
+            cells,
+            jobs=1,
+            retry=RetryPolicy(on_error="skip", max_attempts=1, memory_mb=1.0),
         )
-        stats = last_stats()
-
-        assert results == baseline
-        assert [
-            (r["cell"]["x"], r["cell"]["policy"], r["cell"]["seed"])
-            for r in stats.engine_fallbacks
-        ] == healed_keys
-        crashed = {key for key, kind in schedule.items() if kind == "crash"}
-        assert {f.key for f in stats.failures} == crashed
-        assert all(f.recovered for f in stats.failures)
+        failures = parallel.take_failures()
+        assert len(failures) == 1
+        failure = failures[0]
+        assert failure.exception == "MemoryBudgetExceeded"
+        assert failure.progress is not None
+        assert failure.progress["rss_bytes"] == 10 * 1024 * 1024 * 1024
+        assert "events" in failure.progress
+        assert "committed" in failure.progress
+        assert failure.to_dict()["progress"] == failure.progress

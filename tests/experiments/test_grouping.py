@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.kernel import KernelSimulator
 from repro.experiments import faults, parallel
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.faults import FaultPlan
@@ -38,11 +39,9 @@ POLICIES = ("CCA", "EDF-HP", "OCC")
 def _clean_fault_state():
     faults.install(None)
     parallel.take_failures()
-    parallel.take_fallbacks()
     yield
     faults.install(None)
     parallel.take_failures()
-    parallel.take_fallbacks()
 
 
 @pytest.fixture
@@ -132,12 +131,28 @@ class TestOneGenerationPerWorkload:
 class TestFailureIsolation:
     @pytest.mark.parametrize("kind", ["crash", "kernel"])
     def test_fault_on_one_label_leaves_group_mates_computed_and_cached(
-        self, cells, kind, tmp_path
+        self, cells, kind, tmp_path, monkeypatch
     ):
         baseline = execute_cells(cells, jobs=1)
         locking = [cell for cell in cells if cell.policy != "OCC"]
-        plan, doomed = plan_hitting_one(locking, max_failures=10**6, **{kind: 0.2})
-        faults.install(plan)
+        plan, doomed = plan_hitting_one(locking, max_failures=10**6, crash=0.2)
+        if kind == "crash":
+            faults.install(plan)
+        else:
+            # The kernel engine itself raises on the doomed cell.
+            doomed_workload = tuple(generator.generate_workload(doomed.config, doomed.seed))
+            clean_run = KernelSimulator.run
+
+            def run(simulator):
+                if (
+                    simulator.policy.name == doomed.policy
+                    and simulator.config == doomed.config
+                    and simulator.workload == doomed_workload
+                ):
+                    raise RuntimeError("kernel defect")
+                return clean_run(simulator)
+
+            monkeypatch.setattr(KernelSimulator, "run", run)
         cache = ResultCache(tmp_path)
         results = execute_cells(
             cells,

@@ -13,7 +13,7 @@ import pytest
 
 from repro.modelcheck.bundle import (
     MC_BUNDLE_KIND,
-    bundle_kind,
+    config_from_dict,
     load_mc_bundle,
     replay_mc_bundle,
     trace_digest,
@@ -73,7 +73,7 @@ class TestBundleRoundTrip:
     def test_bundle_replays_bit_for_bit(self, name, tmp_path):
         result, case = explore_mutant(name)
         bundle = write_mc_bundle(tmp_path / name, result, case.config, case.specs)
-        assert bundle_kind(bundle) == MC_BUNDLE_KIND
+        assert load_mc_bundle(bundle)["kind"] == MC_BUNDLE_KIND
         report = replay_mc_bundle(bundle)
         assert report["matched"], report
         assert report["trace_matched"]
@@ -91,6 +91,12 @@ class TestBundleRoundTrip:
         assert doc["trace_digest"] == trace_digest(
             result.counterexample.events
         )
+
+    def test_config_round_trips_through_bundle(self, tmp_path):
+        result, case = explore_mutant("wait-instead-of-wound")
+        bundle = write_mc_bundle(tmp_path / "b", result, case.config, case.specs)
+        doc = load_mc_bundle(bundle)
+        assert config_from_dict(doc["config"]) == case.config
 
     def test_clean_exploration_refuses_to_bundle(self, tmp_path):
         case = get_case("tie-twins")
@@ -120,6 +126,5 @@ class TestBundleRoundTrip:
         (tmp_path / "bundle.json").write_text(
             json.dumps({"kind": "something-else"})
         )
-        assert bundle_kind(tmp_path) == "something-else"
         with pytest.raises(ValueError, match="not a model-check bundle"):
             load_mc_bundle(tmp_path)

@@ -183,11 +183,11 @@ class TestFailuresSection:
 
 
 class TestCertificationSection:
-    def test_schema_version_is_pinned_at_six(self):
-        # v6 introduced the required analysis section; bumping the
-        # constant without updating this pin is a schema change that
-        # needs the validation rules revisited.
-        assert MANIFEST_SCHEMA_VERSION == 6
+    def test_schema_version_is_pinned_at_seven(self):
+        # v7 dropped the engine_fallbacks section; bumping the constant
+        # without updating this pin is a schema change that needs the
+        # validation rules revisited.
+        assert MANIFEST_SCHEMA_VERSION == 7
 
     def test_defaults_to_disabled(self):
         manifest = build_manifest(
@@ -318,64 +318,7 @@ class TestTimingSection:
         )
 
     def test_accepted_versions_pinned(self):
-        assert ACCEPTED_SCHEMA_VERSIONS == (6,)
-
-
-class TestEngineFallbacksSection:
-    FALLBACK = {
-        "cell": {"x": 4.0, "policy": "CCA", "seed": 2},
-        "exception": "InjectedKernelFault",
-        "message": "injected kernel fault",
-        "engine": "reference",
-        "sanitized": True,
-        "attempt": 1,
-        "bundle": "results/quarantine/CCA-s2-abcdef123456",
-        "reproduced": True,
-    }
-
-    def test_defaults_to_empty_list(self):
-        manifest = build_manifest(
-            "fig4a", "quick", triples(), registry_with_data().snapshot()
-        )
-        assert manifest["engine_fallbacks"] == []
-        assert validate_manifest(manifest) == []
-
-    def test_embedded_records_validate(self):
-        manifest = build_manifest(
-            "fig4a",
-            "quick",
-            triples(),
-            registry_with_data().snapshot(),
-            engine_fallbacks=[self.FALLBACK],
-        )
-        assert validate_manifest(manifest) == []
-        assert manifest["engine_fallbacks"] == [self.FALLBACK]
-
-    def test_missing_section_flagged_for_v5(self):
-        manifest = build_manifest(
-            "fig4a", "quick", triples(), registry_with_data().snapshot()
-        )
-        del manifest["engine_fallbacks"]
-        assert any(
-            "engine_fallbacks" in problem
-            for problem in validate_manifest(manifest)
-        )
-
-    def test_malformed_records_flagged(self):
-        manifest = build_manifest(
-            "fig4a",
-            "quick",
-            triples(),
-            registry_with_data().snapshot(),
-            engine_fallbacks=[{"cell": {"x": 1.0}}],  # no exception/engine
-        )
-        problems = validate_manifest(manifest)
-        assert any("exception" in p for p in problems)
-        assert any("engine" in p for p in problems)
-        manifest["engine_fallbacks"] = ["not-a-dict"]
-        assert any(
-            "not an object" in p for p in validate_manifest(manifest)
-        )
+        assert ACCEPTED_SCHEMA_VERSIONS == (7,)
 
 
 class TestAnalysisSection:
@@ -465,7 +408,7 @@ class TestAnalysisSection:
 
 
 class TestGoldenFixtures:
-    """The committed manifest document of the current schema (v6).
+    """The committed manifest document of the current schema (v7).
 
     It pins the on-disk layout — regenerating it is a conscious schema
     change, not a side effect.
@@ -473,10 +416,11 @@ class TestGoldenFixtures:
 
     DATA = Path(__file__).parent / "data"
 
-    def test_golden_v6_validates(self):
-        doc = load_manifest(self.DATA / "manifest_v6.json")
-        assert doc["schema"] == 6
+    def test_golden_v7_validates(self):
+        doc = load_manifest(self.DATA / "manifest_v7.json")
+        assert doc["schema"] == 7
         assert validate_manifest(doc) == []
+        assert "engine_fallbacks" not in doc
         analysis = doc["analysis"]
         assert analysis["enabled"] is True
         assert analysis["clean"] is True
@@ -485,7 +429,7 @@ class TestGoldenFixtures:
             "ANA001", "ANA002", "ANA003", "ANA004", "ANA005", "ANA006",
         ]
         assert all(verdict["passed"] for verdict in analysis["verdicts"])
-        assert analysis["cells"], "golden v6 must carry cell predictions"
+        assert analysis["cells"], "golden v7 must carry cell predictions"
         predicted = analysis["cells"][0]["predicted"]
         assert predicted["regime"] in {"light", "moderate", "saturated"}
 

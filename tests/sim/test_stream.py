@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.sim.stream import (
     JsonlSink,
-    RingSink,
     TraceSink,
     flatten_event,
     iter_jsonl,
@@ -62,29 +61,7 @@ class TestTraceSinkProtocol:
             assert isinstance(sink, TraceSink)
         finally:
             sink.close()
-        assert isinstance(RingSink(4), TraceSink)
         assert isinstance(EventLog(), TraceSink)
-
-
-class TestRingSink:
-    def test_keeps_only_the_tail(self):
-        ring = RingSink(capacity=3)
-        for index in range(10):
-            ring("tick", n=index)
-        assert len(ring) == 3
-        assert ring.total_seen == 10
-        assert [record["n"] for record in ring.tail()] == [7, 8, 9]
-        assert list(ring) == ring.tail()
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError, match="capacity"):
-            RingSink(0)
-
-    def test_under_capacity_keeps_everything(self):
-        ring = RingSink(capacity=16)
-        ring("a", x=1)
-        ring("b", x=2)
-        assert [record["event"] for record in ring] == ["a", "b"]
 
 
 class TestJsonlSink:

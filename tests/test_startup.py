@@ -1,11 +1,12 @@
 """Start-up loads only what a sweep runs.
 
 ``import repro`` and the sweep entry points leave out the process pool,
-the engine fallback, the multiprocessor engine, the profiler, the
-tracing and manifest modules and the checker packages; a ``jobs=1``
-sweep, failing cells included, loads none of them either.  The package
-re-exports that make this possible resolve on first use to their
-defining modules' own objects.
+the multiprocessor engine, the profiler, the tracing and manifest
+modules and the checker packages; a ``jobs=1`` sweep, failing cells
+included, loads none of them either.  ``import repro.cli`` leaves out
+the manifest, which only ``--report`` writes.  The package re-exports
+that make this possible resolve on first use to their defining
+modules' own objects.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ SRC = Path(repro.__file__).resolve().parents[1]
 NEVER_LOADED = (
     "concurrent.futures",
     "multiprocessing",
-    "repro.experiments.quarantine",
     "repro.mp",
     "repro.tracing",
     "repro.obs.manifest",
@@ -95,24 +95,38 @@ print(json.dumps(out))
 """
 
 
-def test_a_jobs_1_sweep_loads_no_pool_fallback_or_checker_module():
+def _run_fresh(script: str, *args: str) -> str:
+    """``script``'s last stdout line, run in a fresh interpreter."""
     env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
     env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(NEVER_LOADED)],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_a_jobs_1_sweep_loads_no_pool_fallback_or_checker_module():
+    out = json.loads(_run_fresh(SCRIPT, json.dumps(NEVER_LOADED)))
     assert out["at_import"] == []
     assert out["after_sweep"] == []
     assert out["after_failures"] == []
     assert out["retries"] == out["cells"]
     assert out["pool_loaded"]
     assert out["equal"]
+
+
+def test_importing_the_cli_loads_no_manifest_module():
+    script = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('repro.obs.manifest', 'repro.obs.prof', 'platform') "
+        "if m in sys.modules))"
+    )
+    assert _run_fresh(script) == "[]"
 
 
 LAZY_PACKAGES = ("repro", "repro.obs", "repro.experiments", "repro.workload")
