@@ -1,8 +1,9 @@
 """Regenerate Figure 4 (main-memory database), one benchmark per panel.
 
-Each benchmark produces and prints the same series the paper plots and
-asserts the headline shape.  Panels 4a/4b/4c share the arrival-rate
-sweep through the figure cache, so only the first pays for it.
+Each benchmark times and prints the same series the paper plots; the
+headline shapes are ``repro validate``'s claims.  Panels 4a/4b/4c share
+the arrival-rate sweep through the figure cache, so only the first pays
+for it.
 """
 
 from repro.experiments import figures
@@ -10,58 +11,31 @@ from repro.experiments import figures
 from benchmarks.conftest import run_once
 
 
-def series(result, name):
-    return dict(result.series[name])
-
-
-def mean(values):
-    values = list(values)
-    return sum(values) / len(values)
-
-
 def test_fig4a_miss_percent(benchmark, scale, show):
     result = run_once(benchmark, figures.fig4a, scale)
     show(result)
-    edf, cca = series(result, "EDF-HP"), series(result, "CCA")
-    assert mean(cca.values()) <= mean(edf.values())
 
 
 def test_fig4b_improvement(benchmark, scale, show):
     result = run_once(benchmark, figures.fig4b, scale)
     show(result)
-    miss = series(result, "Miss Percent")
-    heavy = [x for x in miss if x >= 6.0]
-    assert mean(miss[x] for x in heavy) > 0.0
 
 
 def test_fig4c_restarts(benchmark, scale, show):
     result = run_once(benchmark, figures.fig4c, scale)
     show(result)
-    edf = series(result, "EDF-HP")
-    peak = max(edf, key=edf.get)
-    assert 5.0 <= peak <= 9.0, "restart peak should sit near 8 tr/s"
-    assert edf[10.0] < edf[peak], "restarts decline past the peak"
 
 
 def test_fig4d_high_variance_miss_percent(benchmark, scale, show):
     result = run_once(benchmark, figures.fig4d, scale)
     show(result)
-    edf, cca = series(result, "EDF-HP"), series(result, "CCA")
-    heavy = [x for x in edf if x >= 1.0]
-    assert mean(cca[x] for x in heavy) <= mean(edf[x] for x in heavy)
 
 
 def test_fig4e_high_variance_improvement(benchmark, scale, show):
     result = run_once(benchmark, figures.fig4e, scale)
     show(result)
-    lateness = series(result, "Mean Lateness")
-    heavy = [x for x in lateness if x >= 1.0]
-    assert mean(lateness[x] for x in heavy) > 0.0
 
 
 def test_fig4f_db_size(benchmark, scale, show):
     result = run_once(benchmark, figures.fig4f, scale)
     show(result)
-    edf, cca = series(result, "EDF-HP"), series(result, "CCA")
-    assert edf[100.0] > edf[1000.0], "contention falls with DB size"
-    assert cca[100.0] <= edf[100.0]

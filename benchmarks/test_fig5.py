@@ -1,34 +1,22 @@
-"""Regenerate Figure 5 (penalty weight + disk-resident database)."""
+"""Regenerate Figure 5 (penalty weight + disk-resident database).
+
+Each benchmark times and prints the series the paper plots; the headline
+shapes are ``repro validate``'s claims.
+"""
 
 from repro.experiments import figures
 
 from benchmarks.conftest import run_once
 
 
-def series(result, name):
-    return dict(result.series[name])
-
-
-def mean(values):
-    values = list(values)
-    return sum(values) / len(values)
-
-
 def test_fig5a_penalty_weight_main_memory(benchmark, scale, show):
     result = run_once(benchmark, figures.fig5a, scale)
     show(result)
-    for name, points in result.series.items():
-        by_weight = dict(points)
-        plateau = [by_weight[w] for w in (1.0, 2.0, 5.0, 10.0, 15.0, 20.0)]
-        assert max(plateau) - min(plateau) <= 10.0, f"{name} not stable"
 
 
 def test_fig5b_disk_miss_percent(benchmark, scale, show):
     result = run_once(benchmark, figures.fig5b, scale)
     show(result)
-    edf, cca = series(result, "EDF-HP"), series(result, "CCA")
-    heavy = [x for x in edf if x >= 4.0]
-    assert mean(cca[x] for x in heavy) <= mean(edf[x] for x in heavy)
 
 
 def test_fig5c_disk_restarts(benchmark, scale, show):
@@ -36,31 +24,18 @@ def test_fig5c_disk_restarts(benchmark, scale, show):
     the disk-resident database while CCA stays flat."""
     result = run_once(benchmark, figures.fig5c, scale)
     show(result)
-    edf, cca = series(result, "EDF-HP"), series(result, "CCA")
-    light = mean(edf[x] for x in (1.0, 2.0, 3.0))
-    heavy = mean(edf[x] for x in (5.0, 6.0, 7.0))
-    assert heavy > 2.0 * light, "EDF-HP restarts should keep climbing"
-    assert mean(cca[x] for x in (5.0, 6.0, 7.0)) < heavy
 
 
 def test_fig5d_disk_improvement(benchmark, scale, show):
     result = run_once(benchmark, figures.fig5d, scale)
     show(result)
-    lateness = series(result, "Mean Lateness")
-    heavy = [x for x in lateness if x >= 4.0]
-    assert mean(lateness[x] for x in heavy) > 0.0
 
 
 def test_fig5e_disk_db_size(benchmark, scale, show):
     result = run_once(benchmark, figures.fig5e, scale)
     show(result)
-    edf, cca = series(result, "EDF-HP"), series(result, "CCA")
-    assert cca[100.0] <= edf[100.0]
 
 
 def test_fig5f_penalty_weight_disk(benchmark, scale, show):
     result = run_once(benchmark, figures.fig5f, scale)
     show(result)
-    points = dict(result.series["4 TPS"])
-    plateau = [points[w] for w in (1.0, 2.0, 5.0, 10.0, 15.0, 20.0)]
-    assert max(plateau) - min(plateau) <= 10.0

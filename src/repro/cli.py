@@ -406,7 +406,7 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
         from repro.experiments.validation import (
             render_report,
             validate_all,
-            validate_ext_occ,
+            validate_extensions,
         )
 
         started = time.time()
@@ -416,7 +416,7 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
         # not a manifest was requested.
         registry = MetricsRegistry()
         with parallel.execution(trace=counters, metrics=registry):
-            checks = validate_all(scale) + validate_ext_occ(scale)
+            checks = validate_all(scale) + validate_extensions(scale)
         failures = parallel.take_failures()
         print(render_report(checks))
         elapsed = time.time() - started
@@ -453,7 +453,7 @@ def _run_experiments(args, scale: ExperimentScale) -> int:
                 jobs=parallel.resolve_jobs(args.jobs),
                 elapsed=elapsed,
                 failures=failures,
-                notes="aggregate over every figure's validation sweeps and ext-occ",
+                notes="aggregate over every figure's and extension's validation sweeps",
             )
             print(f"wrote manifest {path}")
         dropped = any(not failure.recovered for failure in failures)

@@ -113,7 +113,8 @@ class EDFWPPolicy(EDFPolicy):
     highest waiter's priority so it cannot be starved of the CPU while
     urgent work queues behind it.  The paper's critique — "EDF-WP causes
     too much waiting ... furthermore EDF-WP has deadlock problems" — is
-    reproduced in ``benchmarks/test_extension_wp.py``; wait-for cycles
+    reproduced by ``repro ext-wp`` and checked by ``repro validate``
+    (``validate_ext_wp``); wait-for cycles
     are broken by wounding one participant (traced as
     ``deadlock_break``).
     """

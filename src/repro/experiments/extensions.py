@@ -12,10 +12,9 @@ Every cell runs through the sweep executor (jobs, cache, budgets,
 manifests); ``OCC`` and ``<policy>x<n>`` cell labels select the OCC and
 multiprocessor engines (``parallel.CELL_ENGINES``).
 
-The corresponding benchmarks (``benchmarks/test_extension_*.py``) carry
-the assertions; these experiments carry the data.  ``ext-occ``'s claims
-are instead checked on its own series by
-:func:`repro.experiments.validation.validate_ext_occ` (``repro validate``).
+These experiments carry the data; their claims are checked on the same
+executor series by :func:`repro.experiments.validation.validate_extensions`
+(``repro validate``).
 """
 
 from __future__ import annotations
@@ -29,16 +28,22 @@ from repro.experiments.runner import point_results, sweep
 from repro.metrics.summary import summarize
 
 
+#: ext-shared-locks: the read fraction, in percent, at 8 tr/s.  A
+#: 100-item database: at the base 30 items virtually every pair collides
+#: on some write regardless of the read mix, which hides the sharing
+#: effect this extension studies.
+SHARED_LOCKS_SWEEP = SweepSpec(
+    key="ext-shared-locks",
+    base=MAIN_MEMORY_BASE.replace(arrival_rate=8.0, db_size=100),
+    axis=(0.0, 25.0, 50.0, 75.0, 90.0),
+    vary=lambda config, percent: config.replace(read_fraction=percent / 100),
+)
+
+
 def ext_shared_locks(scale: ExperimentScale) -> FigureResult:
     """Restarts per transaction vs read fraction (shared-lock extension)."""
-    base = scale.scale_config(
-        MAIN_MEMORY_BASE.replace(arrival_rate=8.0, db_size=100)
-    )
-    configs = {
-        fraction * 100: base.replace(read_fraction=fraction)
-        for fraction in (0.0, 0.25, 0.5, 0.75, 0.9)
-    }
-    swept = sweep(configs, scale.seeds_for(base))
+    spec = SHARED_LOCKS_SWEEP
+    swept = sweep(spec.configs(scale), spec.seeds(scale), spec.policies)
     series = metric_series(swept, "restarts_per_transaction")
     return FigureResult(
         figure_id="ext-shared-locks",
@@ -119,11 +124,22 @@ def ext_occ(scale: ExperimentScale) -> FigureResult:
     )
 
 
+#: ext-bursty: Poisson (x=0) vs 3x bursts (x=1) at the same 7 tr/s mean.
+BURSTY_SWEEP = SweepSpec(
+    key="ext-bursty",
+    base=MAIN_MEMORY_BASE.replace(arrival_rate=7.0),
+    axis=(0.0, 1.0),
+    vary=lambda config, bursty: (
+        config.replace(arrival_model="bursty", burst_factor=3.0) if bursty else config
+    ),
+)
+
+
 def ext_bursty(scale: ExperimentScale) -> FigureResult:
     """Miss percent under Poisson vs bursty arrivals at the same mean rate."""
-    base = scale.scale_config(MAIN_MEMORY_BASE.replace(arrival_rate=7.0))
-    configs = {0.0: base, 1.0: base.replace(arrival_model="bursty", burst_factor=3.0)}
-    series = metric_series(sweep(configs, scale.seeds_for(base)), "miss_percent")
+    spec = BURSTY_SWEEP
+    swept = sweep(spec.configs(scale), spec.seeds(scale), spec.policies)
+    series = metric_series(swept, "miss_percent")
     return FigureResult(
         figure_id="ext-bursty",
         title="Bursty arrivals: miss percent, Poisson (x=0) vs 3x bursts "
@@ -139,13 +155,23 @@ def ext_bursty(scale: ExperimentScale) -> FigureResult:
     )
 
 
+#: ext-disk-sched: FCFS (x=0) vs priority (x=1) disk queues, 5 tr/s
+#: with 30 % IO, a congested disk.
+DISK_SCHED_SWEEP = SweepSpec(
+    key="ext-disk-sched",
+    base=DISK_BASE.replace(arrival_rate=5.0, disk_access_prob=0.3),
+    axis=(0.0, 1.0),
+    vary=lambda config, priority: (
+        config.replace(disk_scheduling="priority") if priority else config
+    ),
+)
+
+
 def ext_disk_scheduling(scale: ExperimentScale) -> FigureResult:
     """Mean lateness under FCFS vs priority disk queues (congested disk)."""
-    base = scale.scale_config(
-        DISK_BASE.replace(arrival_rate=5.0, disk_access_prob=0.3)
-    )
-    configs = {0.0: base, 1.0: base.replace(disk_scheduling="priority")}
-    series = metric_series(sweep(configs, scale.seeds_for(base)), "mean_lateness")
+    spec = DISK_SCHED_SWEEP
+    swept = sweep(spec.configs(scale), spec.seeds(scale), spec.policies)
+    series = metric_series(swept, "mean_lateness")
     return FigureResult(
         figure_id="ext-disk-sched",
         title="Disk queue discipline: mean lateness, FCFS (x=0) vs "
@@ -160,6 +186,18 @@ def ext_disk_scheduling(scale: ExperimentScale) -> FigureResult:
     )
 
 
+#: ext-slack: the paper's U[20 %, 800 %] slack window scaled by x, at
+#: 8 tr/s.
+SLACK_SWEEP = SweepSpec(
+    key="ext-slack",
+    base=MAIN_MEMORY_BASE.replace(arrival_rate=8.0),
+    axis=(0.25, 0.5, 1.0, 1.5, 2.0),
+    vary=lambda config, factor: config.replace(
+        min_slack=config.min_slack * factor, max_slack=config.max_slack * factor
+    ),
+)
+
+
 def ext_slack(scale: ExperimentScale) -> FigureResult:
     """Sensitivity to deadline tightness (the Min/Max-slack parameters).
 
@@ -168,14 +206,9 @@ def ext_slack(scale: ExperimentScale) -> FigureResult:
     at fixed load.  Tight deadlines leave EDF-HP no room to recover from
     a wasted wound, which is where cost-consciousness pays most.
     """
-    base = scale.scale_config(MAIN_MEMORY_BASE.replace(arrival_rate=8.0))
-    configs = {
-        factor: base.replace(
-            min_slack=base.min_slack * factor, max_slack=base.max_slack * factor
-        )
-        for factor in (0.25, 0.5, 1.0, 1.5, 2.0)
-    }
-    series = metric_series(sweep(configs, scale.seeds_for(base)), "miss_percent")
+    spec = SLACK_SWEEP
+    swept = sweep(spec.configs(scale), spec.seeds(scale), spec.policies)
+    series = metric_series(swept, "miss_percent")
     return FigureResult(
         figure_id="ext-slack",
         title="Deadline tightness: miss percent vs slack-window scale "
@@ -241,7 +274,11 @@ EXTENSION_EXPERIMENTS: dict[
 #: Every cell of the extensions that run through the sweep executor as
 #: a single batch — what run manifests fingerprint.
 EXTENSION_CELLS: dict[str, Callable[[ExperimentScale], list[SweepCell]]] = {
-    "ext-occ": occ_cells,
+    "ext-shared-locks": SHARED_LOCKS_SWEEP.cells,
     "ext-multiprocessor": multiprocessor_cells,
+    "ext-occ": occ_cells,
+    "ext-bursty": BURSTY_SWEEP.cells,
+    "ext-disk-sched": DISK_SCHED_SWEEP.cells,
+    "ext-slack": SLACK_SWEEP.cells,
     "ext-wp": WP_SWEEP.cells,
 }

@@ -20,11 +20,10 @@ to serial output for the same seeds (proven by
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.config import SimulationConfig
-from repro.core.factory import make_simulator
-from repro.core.policy import PriorityPolicy, make_policy
+from repro.core.policy import make_policy
 from repro.core.simulator import SimulationResult
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
@@ -39,64 +38,33 @@ from repro.experiments.parallel import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.metrics.summary import RunSummary, summarize
-from repro.workload.generator import generate_workload
-
-PolicyFactory = Callable[[SimulationConfig], PriorityPolicy]
-"""Builds a fresh policy for a configuration (CCA reads the penalty
-weight from it)."""
-
-
-def policy_factory(name: str) -> PolicyFactory:
-    """A :data:`PolicyFactory` from a paper policy name.
-
-    CCA-family policies take their penalty weight from the configuration
-    they are instantiated for, so weight sweeps need no special casing.
-    """
-
-    def build(config: SimulationConfig) -> PriorityPolicy:
-        return make_policy(name, penalty_weight=config.penalty_weight)
-
-    return build
 
 
 def run_policy(
     config: SimulationConfig,
-    policy: PolicyFactory | str,
+    policy: str,
     seeds: Sequence[int],
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     trace: Optional[TraceHook] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> list[SimulationResult]:
-    """One result per seed for a single policy.
-
-    Named policies go through the parallel executor (and cache); ad-hoc
-    :data:`PolicyFactory` callables are not content-addressable or
-    picklable, so they run serially in-process.
-    """
-    if isinstance(policy, str):
-        canonical = make_policy(policy, penalty_weight=config.penalty_weight).name
-        cells = [
-            SweepCell(x=0.0, policy=canonical, seed=seed, config=config)
-            for seed in seeds
-        ]
-        results = execute_cells(
-            cells, jobs=jobs, cache=cache, trace=trace, metrics=metrics
-        )
-        # Under on_error=skip, dropped cells are simply absent; the
-        # returned list then covers the surviving seeds only.
-        return [
-            results[(0.0, canonical, seed)]
-            for seed in seeds
-            if (0.0, canonical, seed) in results
-        ]
-    factory = policy
-    out = []
-    for seed in seeds:
-        workload = generate_workload(config, seed)
-        simulator = make_simulator(config, workload, factory(config))
-        out.append(simulator.run())
-    return out
+    """One result per seed for a single named policy."""
+    canonical = make_policy(policy, penalty_weight=config.penalty_weight).name
+    cells = [
+        SweepCell(x=0.0, policy=canonical, seed=seed, config=config)
+        for seed in seeds
+    ]
+    results = execute_cells(
+        cells, jobs=jobs, cache=cache, trace=trace, metrics=metrics
+    )
+    # Under on_error=skip, dropped cells are simply absent; the
+    # returned list then covers the surviving seeds only.
+    return [
+        results[(0.0, canonical, seed)]
+        for seed in seeds
+        if (0.0, canonical, seed) in results
+    ]
 
 
 def compare_policies(
@@ -124,7 +92,6 @@ def sweep(
     configs: Mapping[float, SimulationConfig],
     seeds: Sequence[int],
     policies: Sequence[str] = ("EDF-HP", "CCA"),
-    progress: Optional[Callable[[float], None]] = None,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     trace: Optional[TraceHook] = None,
@@ -134,8 +101,7 @@ def sweep(
 
     ``configs`` maps x-axis value -> configuration; the result maps
     x -> policy name -> :class:`RunSummary`.  All cells of the whole
-    sweep are executed in one batch (maximal parallelism); ``progress``
-    is then invoked once per x value, in ``configs`` order.
+    sweep are executed in one batch (maximal parallelism).
     """
     # Canonicalize policy spellings ("cca" -> "CCA") so cells — and
     # therefore cache entries — are addressed consistently.
@@ -152,8 +118,6 @@ def sweep(
         out[x] = {
             name: summarize(points[(x, canonical[name])]) for name in policies
         }
-        if progress is not None:
-            progress(x)
     return out
 
 
@@ -193,10 +157,8 @@ def point_results(
 
 
 __all__ = [
-    "PolicyFactory",
     "compare_policies",
     "point_results",
-    "policy_factory",
     "run_policy",
     "simulate_cell",
     "sweep",

@@ -7,7 +7,7 @@ for firm real-time transactions".  This package provides that
 comparator: a broadcast-commit OCC simulator sharing the workloads,
 policies and metrics of the locking simulators, so the claim can be
 re-tested directly (``repro ext-occ``, checked by
-``repro.experiments.validation.validate_ext_occ``).
+``repro.experiments.validation.validate_extensions``).
 """
 
 from repro.occ.simulator import OCCSimulator

@@ -1,13 +1,6 @@
 """Multi-seed runner and sweeps."""
 
-import pytest
-
-from repro.experiments.runner import (
-    compare_policies,
-    policy_factory,
-    run_policy,
-    sweep,
-)
+from repro.experiments.runner import compare_policies, run_policy, sweep
 
 
 SEEDS = (1, 2)
@@ -19,14 +12,6 @@ class TestRunPolicy:
         assert len(results) == 2
         assert all(r.policy_name == "EDF-HP" for r in results)
         assert all(r.n_committed == mm_config.n_transactions for r in results)
-
-    def test_accepts_factory(self, mm_config):
-        results = run_policy(mm_config, policy_factory("cca"), SEEDS)
-        assert all(r.policy_name == "CCA" for r in results)
-
-    def test_factory_reads_penalty_weight_from_config(self, mm_config):
-        factory = policy_factory("cca")
-        assert factory(mm_config.replace(penalty_weight=7.0)).penalty_weight == 7.0
 
 
 class TestComparePolicies:
@@ -52,12 +37,6 @@ class TestSweep:
         assert set(swept) == {2.0, 6.0}
         for summaries in swept.values():
             assert set(summaries) == {"EDF-HP", "CCA"}
-
-    def test_progress_callback(self, mm_config):
-        seen = []
-        configs = {4.0: mm_config}
-        sweep(configs, (1,), progress=seen.append)
-        assert seen == [4.0]
 
     def test_load_monotonicity(self, mm_config):
         """Sanity of the harness end to end: much heavier load cannot

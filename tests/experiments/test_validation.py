@@ -1,18 +1,30 @@
 """Reproduction self-check module."""
 
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentScale
 from repro.experiments.figures import clear_cache
+from repro.experiments.parallel import execution
 from repro.experiments.validation import (
     CheckResult,
     render_report,
     validate_all,
-    validate_ext_occ,
+    validate_ext_wp,
+    validate_extensions,
 )
 
 TINY = ExperimentScale("tiny", 2, 2, 0.05)
+
+
+@pytest.fixture(scope="module")
+def quick_cache_dir(tmp_path_factory):
+    """One result cache for the module's quick-scale runs: the CLI run
+    replays the extension cells the validator test simulated."""
+    return tmp_path_factory.mktemp("quick-cache")
 
 
 @pytest.fixture(autouse=True)
@@ -51,20 +63,38 @@ class TestValidateAll:
         assert "[FAIL] b: y" in report
 
 
-class TestValidateExtOcc:
-    def test_claims_hold_at_quick_scale(self):
-        """ext-occ's four claims, on the series the sweep executor ran."""
-        checks = validate_ext_occ(ExperimentScale.quick())
-        assert len(checks) == 4
-        assert {check.figure_id for check in checks} == {"ext-occ"}
+class TestValidateExtensions:
+    def test_claims_hold_at_quick_scale(self, quick_cache_dir):
+        """Every extension claim, on the series the sweep executor ran."""
+        with execution(jobs=2, cache=ResultCache(quick_cache_dir)):
+            checks = validate_extensions(ExperimentScale.quick())
+        assert {check.figure_id for check in checks} == {
+            "ext-shared-locks", "ext-multiprocessor", "ext-occ",
+            "ext-bursty", "ext-disk-sched", "ext-wp",
+        }
         assert all(check.passed for check in checks), "\n".join(map(str, checks))
+
+    def test_deadlock_counts_survive_a_warm_cache(self, tmp_path):
+        """Cached cells carry no counters: the ext-wp claims must
+        simulate their cells even when the cache holds them."""
+        with execution(jobs=1, cache=ResultCache(tmp_path)):
+            for _ in range(2):
+                (deadlocks,) = [
+                    check for check in validate_ext_wp(TINY)
+                    if "deadlock" in check.claim
+                ]
+                assert deadlocks.passed
+                assert int(re.search(r"EDF-WP (\d+)", deadlocks.detail)[1]) > 0
 
 
 class TestCliValidate:
-    def test_validate_command_runs(self, capsys, monkeypatch):
+    def test_validate_command_runs(self, capsys, monkeypatch, quick_cache_dir):
         monkeypatch.setenv("REPRO_SCALE", "quick")
         # The quick-scale shapes should all verify; exit code 0.
-        assert main(["validate", "--scale", "quick"]) == 0
+        assert main([
+            "validate", "--scale", "quick", "--jobs", "2",
+            "--cache-dir", str(quick_cache_dir),
+        ]) == 0
         out = capsys.readouterr().out
         assert "claims verified" in out
         assert "[PASS]" in out
