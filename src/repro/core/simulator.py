@@ -111,7 +111,14 @@ DEADLINE_EPSILON = 1e-9
 
 @dataclasses.dataclass(frozen=True)
 class TransactionRecord:
-    """Per-transaction outcome, kept for committed transactions."""
+    """Per-transaction outcome, kept for committed transactions.
+
+    Not ``slots=True``: a slotted frozen dataclass pickles about 3x
+    slower (1,000 records: dumps 1.26 -> 3.60 ms, loads 1.38 ->
+    4.25 ms), and every pooled sweep cell ships its records back from a
+    worker.  The field order is the cache's row order
+    (``experiments/cache.py`` builds records positionally).
+    """
 
     tid: int
     type_id: int

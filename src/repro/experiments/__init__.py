@@ -45,7 +45,7 @@ if TYPE_CHECKING:
         FigureResult,
         run_experiment,
     )
-    from repro.experiments.runner import compare_policies, run_policy, sweep
+    from repro.experiments.runner import compare_policies, sweep
     from repro.experiments.report import render_figure, write_csv
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "execute_cells",
     "render_figure",
     "run_experiment",
-    "run_policy",
     "simulate_cell",
     "sweep",
     "write_csv",
@@ -83,6 +82,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "simulate_cell",
     ),
     "repro.experiments.figures": ("ALL_EXPERIMENTS", "FigureResult", "run_experiment"),
-    "repro.experiments.runner": ("compare_policies", "run_policy", "sweep"),
+    "repro.experiments.runner": ("compare_policies", "sweep"),
     "repro.experiments.report": ("render_figure", "write_csv"),
 })

@@ -106,12 +106,14 @@ def result_from_dict(data: dict) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`result_to_dict`.
 
     Raises ``KeyError``/``TypeError``/``ValueError`` on malformed input;
-    the cache turns those into a miss.
+    the cache turns those into a miss.  Each record row is checked for
+    length and passed positionally, in :data:`_RECORD_FIELDS` order.
     """
-    records = tuple(
-        TransactionRecord(**dict(zip(_RECORD_FIELDS, row, strict=True)))
-        for row in data["records"]
-    )
+    width = len(_RECORD_FIELDS)
+    rows = data["records"]
+    if not set(map(len, rows)) <= {width}:
+        raise ValueError(f"a record row does not hold {width} values")
+    records = tuple(TransactionRecord(*row) for row in rows)
     return SimulationResult(
         policy_name=data["policy_name"],
         n_committed=data["n_committed"],

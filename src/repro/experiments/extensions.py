@@ -9,8 +9,10 @@ so the CLI can print and export them exactly like the paper figures:
     python -m repro ext-occ --scale full
 
 Every cell runs through the sweep executor (jobs, cache, budgets,
-manifests); ``OCC`` and ``<policy>x<n>`` cell labels select the OCC and
-multiprocessor engines (``parallel.CELL_ENGINES``).
+manifests), which hands back each cell's
+:class:`~repro.metrics.summary.RunStats`; ``OCC`` and ``<policy>x<n>``
+cell labels select the OCC and multiprocessor engines
+(``parallel.CELL_ENGINES``).
 
 These experiments carry the data; their claims are checked on the same
 executor series by :func:`repro.experiments.validation.validate_extensions`

@@ -17,6 +17,15 @@ seeds, ``jobs=N`` output is identical to serial output, and the trace
 event stream is deterministic too.  The parity tests in
 ``tests/experiments/test_parallel.py`` hold this as an invariant.
 
+The executor returns each cell's :class:`~repro.metrics.summary.RunStats`,
+not its :class:`SimulationResult`: a computed cell's full result, with
+one record per committed transaction, is validated and stored in the
+cache as its task's outcomes arrive, then dropped, and a cache hit is
+reduced to its stats at lookup.  Per-transaction records live only in
+engine results (what :func:`run_cell` and :func:`simulate_cell`
+return) and cache entries, so a sweep's memory does not grow with the
+transactions it simulates.
+
 Failure isolation (see docs/ROBUSTNESS.md) stays per cell: a cell's
 exception becomes a structured :class:`CellFailure` of that cell alone
 instead of aborting the sweep or its task.  The
@@ -27,9 +36,9 @@ instead of aborting the sweep or its task.  The
 ``jobs``).  Per-cell timeouts, worker payload validation, automatic
 pool rebuilds on ``BrokenProcessPool`` (degrading to serial execution
 when the pool keeps breaking), and incremental checkpointing — each
-completed cell is flushed to the cache as it merges, even if the
-sweep is later interrupted — make long sweeps restartable: re-run
-the same command and only missing cells are recomputed.
+completed cell is flushed to the cache as its task's outcomes arrive,
+even if the sweep is later interrupted — make long sweeps restartable:
+re-run the same command and only missing cells are recomputed.
 
 Module-level *execution defaults* (:func:`configure` / the
 :func:`execution` context manager) let entry points like the CLI choose
@@ -53,6 +62,7 @@ from repro.core.policy import make_policy
 from repro.core.simulator import SimulationResult
 from repro.experiments import faults
 from repro.experiments.cache import ResultCache, cache_key
+from repro.metrics.summary import RunStats
 from repro.obs.registry import MetricsRegistry
 from repro.occ.simulator import OCCSimulator
 from repro.rtdb.transaction import TransactionSpec
@@ -372,7 +382,8 @@ class CellOutcome:
     """One label's outcome of a :func:`run_cell` call.
 
     ``result`` is the :class:`SimulationResult` (or the payload an
-    injected ``corrupt`` fault puts in its place), ``error`` what the
+    injected ``corrupt`` fault puts in its place; once the executor has
+    filed a valid outcome, its :class:`RunStats`), ``error`` what the
     label raised instead.  ``wall_ms`` times the engine build and run
     (plus the workload generation, for the label that records it).
     ``deltas`` is the label's registry snapshot (``observe``),
@@ -555,7 +566,7 @@ def simulate_cell(
     return run_cell(config, seed, (policy_name,), options)[0].checked().result
 
 
-def _validate_outcome(cell: SweepCell, outcome) -> CellOutcome:
+def _validate_outcome(cell: SweepCell, outcome) -> None:
     """Raise a cell's error, or reject a corrupt payload (wrong shape,
     wrong cell) with :class:`CorruptResultError`; the retry machinery
     treats both like any other per-cell failure."""
@@ -571,7 +582,6 @@ def _validate_outcome(cell: SweepCell, outcome) -> CellOutcome:
             f"cell {cell.key}: result claims policy "
             f"{result.policy_name!r}, expected {expected!r}"
         )
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +760,15 @@ class _SweepRunner:
     seed)`` — and runs one task per group: :func:`run_cell` over the
     group's labels, in a process pool or in-process.  The runner walks
     the round's cells in cell-key order, waiting for (or, serially,
-    running) a cell's task when it first needs it, and merges each
-    cell's outcome on its own: successes *in cell-key order*, failures
-    recorded per cell.  Cells with attempts left go to the next round
-    (after backoff), regrouped.  Grouping, merge order, the
-    surviving-cell set, and the retry schedule are the same at any
-    ``jobs`` count.
+    running) a cell's task when it first needs it.  It files the task's
+    outcomes by cell as they arrive — each valid cell is stored in the
+    cache then and keeps only its :class:`RunStats` — and merges each
+    cell on its own: successes *in cell-key order*, failures recorded
+    per cell.  Cells with attempts left go to the next round (after
+    backoff), regrouped.  Grouping, merge order, the surviving-cell set,
+    and the retry schedule are the same at any ``jobs`` count.  So the
+    parent holds the records of the task it is filing and, pooled, of
+    tasks that finished ahead of their turn, never of a filed task.
 
     The parent waits ``timeout`` per cell of a task.  It cannot see
     inside a task that overran that, so a timed-out task of several
@@ -792,7 +805,7 @@ class _SweepRunner:
         )
         self.keys = keys if keys is not None else {}
         """Cell key -> cache key, computed once at lookup."""
-        self.results: dict[CellKey, SimulationResult] = {}
+        self.results: dict[CellKey, RunStats] = {}
         self.attempts: dict[CellKey, int] = {cell.key: 0 for cell in pending}
         self.failures: dict[CellKey, CellFailure] = {}
         self.terminal: dict[CellKey, CellFailure] = {}
@@ -873,15 +886,13 @@ class _SweepRunner:
                 if cell.key not in outcomes:
                     index = group_of[cell.key]
                     self._collect(groups[index], futures.get(index), outcomes)
-                outcome = outcomes[cell.key]
+                    futures.pop(index, None)
                 processed.add(cell.key)
+                outcome = outcomes.pop(cell.key)
                 if outcome is _SPLIT:
                     retry_next.append(cell)
-                    continue
-                try:
-                    outcome = _validate_outcome(cell, outcome)
-                except Exception as exc:
-                    self._attempt_failed(cell, exc, retry_next)
+                elif isinstance(outcome, BaseException):
+                    self._attempt_failed(cell, outcome, retry_next)
                 else:
                     self._complete(cell, outcome)
         except BaseException:
@@ -923,12 +934,51 @@ class _SweepRunner:
                     self.alone.add(cell.key)
                     outcomes[cell.key] = _SPLIT
                 return
-        _file_payload(group, payload, outcomes)
+        self._file(group, payload, outcomes)
         for outcome in payload if isinstance(payload, list) else ():
             if isinstance(outcome, CellOutcome) and isinstance(
                 outcome.error, KeyboardInterrupt
             ):
                 raise outcome.error
+
+    def _file(
+        self, group: Sequence[SweepCell], payload: Any, outcomes: dict[CellKey, Any]
+    ) -> None:
+        """File a task's payload — one :class:`CellOutcome` per cell, in
+        order — by cell key, validating each cell and storing each valid
+        one in the cache now.
+
+        A cell the payload does not cover (a corrupt payload, or one cut
+        short by an interrupt) fails as corrupt.  A filed cell may wait
+        for its merge turn (a task's later policies merge after other
+        seeds' cells), so from here on a valid outcome holds only its
+        :class:`RunStats` and an invalid one is filed as the exception
+        that rejected it.  An interrupted label stays as it is, for
+        :meth:`_collect` to re-raise.
+        """
+        if not isinstance(payload, list):
+            payload = []
+        for index, cell in enumerate(group):
+            outcome = outcomes[cell.key] = (
+                payload[index]
+                if index < len(payload)
+                else CellOutcome(
+                    error=CorruptResultError(f"cell {cell.key}: task returned no outcome")
+                )
+            )
+            if isinstance(outcome, CellOutcome) and isinstance(
+                outcome.error, KeyboardInterrupt
+            ):
+                continue
+            try:
+                _validate_outcome(cell, outcome)
+            except Exception as exc:
+                outcomes[cell.key] = exc
+                continue
+            self._store(cell, outcome.result)
+            # In place: the payload list, and a pooled task's future,
+            # hold this same object.
+            outcome.result = RunStats.of(outcome.result)
 
     def _await(self, group: Sequence[SweepCell], future: Any) -> Any:
         """A pooled task's payload, or :data:`_SPLIT` when a task of
@@ -965,6 +1015,8 @@ class _SweepRunner:
     # -- per-cell outcomes -------------------------------------------------
 
     def _complete(self, cell: SweepCell, outcome: CellOutcome) -> None:
+        """Merge a filed, valid cell: its metrics, its profile and its
+        :class:`RunStats` (``outcome.result``)."""
         prof = self.profile
         if outcome.deltas is not None and self.metrics is not None:
             from repro.obs.prof import observe_stage
@@ -980,32 +1032,36 @@ class _SweepRunner:
             # Called in cell-key order within each round, so the merged
             # recording's structure is worker-count-independent.
             prof.extend(outcome.prof_state)
-        result = outcome.result
-        self.results[cell.key] = result
+        self.results[cell.key] = outcome.result
         self.stats.cells_run += 1
         if cell.key in self.failures:
             self.failures[cell.key] = dataclasses.replace(
                 self.failures[cell.key], recovered=True
             )
-        if self.cache is not None:
-            # Incremental checkpoint: flush the cell *now*, so a killed
-            # sweep resumes from here.  Cache write errors degrade to a
-            # counter (the cache disables itself after the first one).
-            before = self.cache.counters.put_errors
-            key = self.keys.get(cell.key)
-            if self.metrics is None and prof is None:
-                self.cache.safe_put(cell.config, cell.seed, cell.policy, result, key)
-            else:
-                t0 = time.perf_counter()
-                self.cache.safe_put(cell.config, cell.seed, cell.policy, result, key)
-                put_s = time.perf_counter() - t0
-                if self.metrics is not None:
-                    from repro.obs.prof import observe_stage
 
-                    observe_stage(self.metrics, "cache_put", put_s * 1000.0)
-                if prof is not None:
-                    prof.timer("sweep.cache_put", "stage").add(put_s)
-            self.stats.cache_put_errors += self.cache.counters.put_errors - before
+    def _store(self, cell: SweepCell, result: SimulationResult) -> None:
+        """Store a valid cell's full result in the cache, if any."""
+        if self.cache is None:
+            return
+        # Incremental checkpoint: flush the cell *now*, so a killed
+        # sweep resumes from here.  Cache write errors degrade to a
+        # counter (the cache disables itself after the first one).
+        prof = self.profile
+        before = self.cache.counters.put_errors
+        key = self.keys.get(cell.key)
+        if self.metrics is None and prof is None:
+            self.cache.safe_put(cell.config, cell.seed, cell.policy, result, key)
+        else:
+            t0 = time.perf_counter()
+            self.cache.safe_put(cell.config, cell.seed, cell.policy, result, key)
+            put_s = time.perf_counter() - t0
+            if self.metrics is not None:
+                from repro.obs.prof import observe_stage
+
+                observe_stage(self.metrics, "cache_put", put_s * 1000.0)
+            if prof is not None:
+                prof.timer("sweep.cache_put", "stage").add(put_s)
+        self.stats.cache_put_errors += self.cache.counters.put_errors - before
 
     def _attempt_failed(
         self, cell: SweepCell, exc: BaseException, retry_next: list[SweepCell]
@@ -1055,7 +1111,7 @@ class _SweepRunner:
                 and future.exception() is None
                 and groups[index][0].key not in outcomes
             ):
-                _file_payload(groups[index], future.result(), outcomes)
+                self._file(groups[index], future.result(), outcomes)
         for cell in cells:
             outcome = outcomes.get(cell.key)
             if (
@@ -1063,10 +1119,6 @@ class _SweepRunner:
                 or not isinstance(outcome, CellOutcome)
                 or outcome.error is not None
             ):
-                continue
-            try:
-                outcome = _validate_outcome(cell, outcome)
-            except Exception:
                 continue
             processed.add(cell.key)
             self._complete(cell, outcome)
@@ -1089,24 +1141,6 @@ class _SweepRunner:
             self._pool = None
 
 
-def _file_payload(
-    group: Sequence[SweepCell], payload: Any, outcomes: dict[CellKey, Any]
-) -> None:
-    """File a task's payload — one :class:`CellOutcome` per cell, in
-    order — by cell key.  A cell the payload does not cover (a corrupt
-    payload, or one cut short by an interrupt) fails as corrupt."""
-    if not isinstance(payload, list):
-        payload = []
-    for index, cell in enumerate(group):
-        outcomes[cell.key] = (
-            payload[index]
-            if index < len(payload)
-            else CellOutcome(
-                error=CorruptResultError(f"cell {cell.key}: task returned no outcome")
-            )
-        )
-
-
 def execute_cells(
     cells: Sequence[SweepCell],
     jobs: Optional[int] = None,
@@ -1115,16 +1149,23 @@ def execute_cells(
     metrics: Optional[MetricsRegistry] = None,
     retry: Optional[RetryPolicy] = None,
     profile: Optional[SpanProfiler] = None,
-) -> dict[CellKey, SimulationResult]:
-    """Run every cell, in parallel where possible; results keyed and
-    ordered by :data:`CellKey`.
+) -> dict[CellKey, RunStats]:
+    """Run every cell, in parallel where possible; each cell's
+    :class:`~repro.metrics.summary.RunStats`, keyed and ordered by
+    :data:`CellKey`.
 
     Cached cells are served from ``cache`` without simulating; the
     pending ones run one task per ``(config, seed)`` (see
-    :class:`_SweepRunner`), and each computed cell is stored back as it
-    merges (the sweep's checkpoint).  With ``jobs > 1`` the tasks go to
-    a process pool, but the returned mapping (and the trace stream) is
-    sorted by cell key, so output never depends on completion order.
+    :class:`_SweepRunner`), and each computed cell is stored back as its
+    task's outcomes arrive (the sweep's checkpoint).  With ``jobs > 1``
+    the tasks go to a process pool, but the returned mapping (and the
+    trace stream) is sorted by cell key, so output never depends on
+    completion order.
+
+    No per-transaction record outlives its task's filing: a computed
+    cell's full result is dropped once it is cached, and a cache hit is
+    reduced to its stats at lookup.  A caller that needs a cell's
+    records reads its cache entry or runs :func:`simulate_cell`.
 
     ``retry`` (or the configured default) chooses the failure policy:
     see :class:`RetryPolicy`.  Under ``on_error="skip"`` the returned
@@ -1178,7 +1219,7 @@ def execute_cells(
     if trace is not None:
         trace("sweep_begin", cells=len(ordered), jobs=jobs, on_error=retry.on_error)
 
-    results: dict[CellKey, SimulationResult] = {}
+    results: dict[CellKey, RunStats] = {}
     pending: list[SweepCell] = []
     keys: dict[CellKey, str] = {}
     lookup_t0 = time.perf_counter()
@@ -1189,7 +1230,7 @@ def execute_cells(
             key = keys[cell.key] = cache_key(cell.config, cell.seed, cell.policy)
             hit = cache.get(cell.config, cell.seed, cell.policy, key)
         if hit is not None:
-            results[cell.key] = hit
+            results[cell.key] = RunStats.of(hit)
             stats.cache_hits += 1
         else:
             pending.append(cell)

@@ -6,7 +6,7 @@ metrics across seeds.  :func:`compare_policies` does that for one
 configuration; :func:`sweep` repeats it along a parameter axis (arrival
 rate, database size, penalty weight, ...).
 
-All three entry points route through
+Both entry points route through
 :mod:`repro.experiments.parallel`: every (x, policy, seed) cell is
 served from / stored to an optional on-disk
 :class:`~repro.experiments.cache.ResultCache` on its own, and the
@@ -16,6 +16,11 @@ paired comparison itself — fanned out over ``jobs`` worker processes.
 Results are merged in cell-key order, so parallel output is identical
 to serial output for the same seeds (proven by
 ``tests/experiments/test_parallel.py``).
+
+What a sweep averages is each cell's
+:class:`~repro.metrics.summary.RunStats`, the run-level numbers the
+executor keeps; per-transaction records stay in engine results and
+cache entries.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from typing import Mapping, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.core.policy import make_policy
-from repro.core.simulator import SimulationResult
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     CellFailure,
@@ -37,34 +41,7 @@ from repro.experiments.parallel import (
     simulate_cell,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.metrics.summary import RunSummary, summarize
-
-
-def run_policy(
-    config: SimulationConfig,
-    policy: str,
-    seeds: Sequence[int],
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    trace: Optional[TraceHook] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> list[SimulationResult]:
-    """One result per seed for a single named policy."""
-    canonical = make_policy(policy, penalty_weight=config.penalty_weight).name
-    cells = [
-        SweepCell(x=0.0, policy=canonical, seed=seed, config=config)
-        for seed in seeds
-    ]
-    results = execute_cells(
-        cells, jobs=jobs, cache=cache, trace=trace, metrics=metrics
-    )
-    # Under on_error=skip, dropped cells are simply absent; the
-    # returned list then covers the surviving seeds only.
-    return [
-        results[(0.0, canonical, seed)]
-        for seed in seeds
-        if (0.0, canonical, seed) in results
-    ]
+from repro.metrics.summary import RunStats, RunSummary, summarize
 
 
 def compare_policies(
@@ -123,16 +100,18 @@ def sweep(
 
 def point_results(
     cells: Sequence[SweepCell],
-    results: Mapping[CellKey, SimulationResult],
-) -> dict[tuple[float, str], list[SimulationResult]]:
-    """Each (x, policy) point's results, in ``cells`` order.
+    results: Mapping[CellKey, RunStats],
+) -> dict[tuple[float, str], list[RunStats]]:
+    """Each (x, policy) point's :class:`RunStats` (what
+    :func:`~repro.experiments.parallel.execute_cells` returns), in
+    ``cells`` order.
 
     Cells dropped under ``on_error=skip`` are left out — identically at
     any jobs count, since the failure schedule is process-independent.
     A point with no cell left raises :class:`SweepError`: there is
     nothing to average.
     """
-    points: dict[tuple[float, str], list[SimulationResult]] = {}
+    points: dict[tuple[float, str], list[RunStats]] = {}
     for cell in cells:
         runs = points.setdefault((cell.x, cell.policy), [])
         if cell.key in results:
@@ -159,7 +138,6 @@ def point_results(
 __all__ = [
     "compare_policies",
     "point_results",
-    "run_policy",
     "simulate_cell",
     "sweep",
 ]

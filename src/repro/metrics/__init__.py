@@ -8,16 +8,18 @@ and report CCA's improvement over EDF-HP as::
 
 Modules:
 
-* :mod:`repro.metrics.summary` — summary statistics over a set of runs;
+* :mod:`repro.metrics.summary` — summary statistics over a set of runs,
+  and :class:`RunStats`, the per-run numbers the sweep executor keeps;
 * :mod:`repro.metrics.comparison` — paired policy comparisons and the
   improvement percentage.
 """
 
 from repro.metrics.comparison import PolicyComparison, improvement_percent
-from repro.metrics.summary import RunSummary, Statistic, summarize
+from repro.metrics.summary import RunStats, RunSummary, Statistic, summarize
 
 __all__ = [
     "PolicyComparison",
+    "RunStats",
     "RunSummary",
     "Statistic",
     "improvement_percent",

@@ -10,6 +10,40 @@ from repro.core.simulator import SimulationResult
 
 
 @dataclasses.dataclass(frozen=True)
+class RunStats:
+    """One run's run-level numbers, without its per-transaction records.
+
+    What the sweep executor keeps per cell: every number
+    :func:`summarize` and the figures read, taken through the
+    :class:`SimulationResult`'s own fields and properties by :meth:`of`,
+    so each value is bit-identical to the full result's.  A sweep's
+    memory then grows with its cell count, not with the transactions
+    its cells commit.
+    """
+
+    policy_name: str
+    n_committed: int
+    n_missed: int
+    total_restarts: int
+    makespan: float
+    cpu_utilization: float
+    disk_utilization: float
+    mean_plist_size: float
+    n_dropped: int
+    miss_percent: float
+    miss_or_drop_percent: float
+    mean_lateness: float
+    restarts_per_transaction: float
+
+    @classmethod
+    def of(cls, result: SimulationResult) -> "RunStats":
+        return cls(*(getattr(result, name) for name in _RUN_STATS_FIELDS))
+
+
+_RUN_STATS_FIELDS = tuple(field.name for field in dataclasses.fields(RunStats))
+
+
+@dataclasses.dataclass(frozen=True)
 class Statistic:
     """Mean / spread of one metric across seeds."""
 
@@ -62,11 +96,13 @@ class RunSummary:
     makespan: Statistic
 
 
-def summarize(results: Iterable[SimulationResult]) -> RunSummary:
+def summarize(results: Iterable[SimulationResult | RunStats]) -> RunSummary:
     """Aggregate per-seed results for one policy into a summary.
 
-    All results must come from the same policy (mixing policies across
-    seeds would silently average incomparable numbers).
+    Each run is a :class:`SimulationResult` or its :class:`RunStats`;
+    only attributes both carry are read, so the two give equal
+    summaries.  All results must come from the same policy (mixing
+    policies across seeds would silently average incomparable numbers).
     """
     runs = list(results)
     if not runs:

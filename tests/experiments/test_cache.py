@@ -194,6 +194,31 @@ class TestResultCache:
         cache.put(small_config, 3, "CCA", result)
         assert cache.get(small_config, 3, "CCA") == result
 
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda row: row[:5], lambda row: [*row, 0]],
+        ids=["5-values", "7-values"],
+    )
+    def test_record_row_of_wrong_length_discarded(
+        self, tmp_path, small_config, result, reshape
+    ):
+        """Rows are decoded positionally, so a row one value short or
+        one value long is a corrupt entry, never a shifted record."""
+        cache = ResultCache(tmp_path)
+        path = cache.put(small_config, 3, "CCA", result)
+        entry = json.loads(path.read_text())
+        rows = entry["result"]["records"]
+        rows[-1] = reshape(rows[-1])
+        path.write_text(json.dumps(entry))
+        assert cache.get(small_config, 3, "CCA") is None
+        assert (cache.counters.discarded, cache.counters.misses) == (1, 1)
+        assert not path.exists()
+
+    def test_record_row_order_is_the_record_field_order(self):
+        assert cache_mod._RECORD_FIELDS == tuple(
+            field.name for field in dataclasses.fields(TransactionRecord)
+        )
+
     def test_truncated_json_counts_one_discard_one_miss(
         self, tmp_path, small_config, result
     ):

@@ -31,6 +31,7 @@ from repro.experiments.parallel import (
     run_cell,
     simulate_cell,
 )
+from repro.metrics.summary import RunStats
 from repro.mp.simulator import MultiprocessorSimulator
 from repro.obs.prof import SpanProfiler
 from repro.obs.registry import MetricsRegistry
@@ -119,7 +120,7 @@ class TestCacheKeys:
         results = execute_cells(cells, jobs=1, cache=cache)
         assert cache_key(config, SEED, "CCAx1") != cache_key(config, SEED, "CCAx2")
         assert len(list(tmp_path.rglob("*.json"))) == 2
-        assert results[(0.0, "CCAx2", SEED)] == cache.get(config, SEED, "CCAx2")
+        assert results[(0.0, "CCAx2", SEED)] == RunStats.of(cache.get(config, SEED, "CCAx2"))
 
 
 class TestBudgets:

@@ -3,9 +3,9 @@
 The whole parallel/caching subsystem rests on one invariant: a sweep
 cell's result depends only on its inputs — no hidden global RNG state,
 no import-order effects, no per-process drift.  Hypothesis drives random
-small configurations through :func:`repro.experiments.runner.run_policy`
-and :func:`repro.experiments.parallel.simulate_cell` and requires
-bit-identical results
+small configurations through :func:`repro.experiments.parallel.simulate_cell`
+and requires bit-identical full results, per-transaction records
+included,
 
 * across two invocations in the same process, and
 * across a subprocess boundary (a fresh worker in a process pool),
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.config import SimulationConfig
 from repro.experiments.parallel import simulate_cell
-from repro.experiments.runner import run_policy
 
 _POOL: Optional[ProcessPoolExecutor] = None
 
@@ -64,9 +63,10 @@ seeds = st.integers(min_value=0, max_value=10_000)
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(config=configs, policy=policies, seed=seeds)
-def test_run_policy_deterministic_in_process(config, policy, seed):
-    first = run_policy(config, policy, (seed,))
-    second = run_policy(config, policy, (seed,))
+def test_simulate_cell_deterministic_in_process(config, policy, seed):
+    first = simulate_cell(config, seed, policy)
+    second = simulate_cell(config, seed, policy)
+    assert first.records == second.records
     assert first == second
 
 

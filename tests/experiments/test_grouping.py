@@ -26,6 +26,7 @@ from repro.experiments.parallel import (
     execute_cells,
     last_stats,
 )
+from repro.metrics.summary import RunStats
 from repro.obs.prof import SpanProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.workload import generator
@@ -165,7 +166,8 @@ class TestFailureIsolation:
         assert [failure.key for failure in stats.failures] == [doomed.key]
         for mate in group_mates(cells, doomed):
             assert results[mate.key] == baseline[mate.key]
-            assert cache.get(mate.config, mate.seed, mate.policy) == baseline[mate.key]
+            entry = cache.get(mate.config, mate.seed, mate.policy)
+            assert RunStats.of(entry) == baseline[mate.key]
 
     def test_skip_drops_the_same_cells_at_jobs_1_and_2(self, cells):
         baseline = execute_cells(cells, jobs=1)

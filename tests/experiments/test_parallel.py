@@ -11,10 +11,12 @@ with the cache cold, warm, and disabled.
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
-from repro.experiments import figures
+from repro.core.simulator import TransactionRecord
+from repro.experiments import figures, parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentScale
 from repro.experiments.parallel import (
@@ -23,7 +25,7 @@ from repro.experiments.parallel import (
     execute_cells,
     last_stats,
 )
-from repro.experiments.runner import compare_policies, run_policy, sweep
+from repro.experiments.runner import compare_policies, sweep
 from repro.tracing import TraceCounters
 
 SEEDS = (1, 2)
@@ -114,11 +116,10 @@ class TestSweepParity:
         for policy in serial:
             assert serial[policy] == parallel[policy]
 
-    def test_run_policy_parity(self, mm_config):
+    def test_one_policy_execute_cells_parity(self, mm_config):
         small = mm_config.replace(n_transactions=30)
-        assert run_policy(small, "CCA", SEEDS) == run_policy(
-            small, "CCA", SEEDS, jobs=2
-        )
+        cells = cells_for_sweep({0.0: small}, SEEDS, ("CCA",))
+        assert execute_cells(cells, jobs=1) == execute_cells(cells, jobs=2)
 
     def test_trace_stream_is_deterministic(self, configs):
         streams = []
@@ -155,3 +156,44 @@ class TestFigureSweeps:
             warm_counters.total("sweep_end", "cells")
         )
         assert warm.series == cold.series
+
+
+def _live_records() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is TransactionRecord)
+
+
+class TestNoRecordRetention:
+    """The executor keeps each merged cell's ``RunStats``, never its
+    records: when the sweep's last task starts, the parent holds at most
+    one task's records, however many cells merged before it.  Serially
+    the last task is the last ``run_cell`` call; pooled, it is the
+    parent's wait for the last task's payload."""
+
+    POLICIES = ("EDF-HP", "CCA")
+
+    @pytest.fixture
+    def cells(self, configs):
+        return cells_for_sweep(configs, (1, 2, 3), self.POLICIES)
+
+    def _check(self, cells, jobs, monkeypatch, target, name):
+        tasks = len({(cell.x, cell.seed) for cell in cells})
+        one_task = len(self.POLICIES) * cells[0].config.n_transactions
+        seen: list[int] = []
+        real = getattr(target, name)
+
+        def counting(*args, **kwargs):
+            seen.append(_live_records() if len(seen) == tasks - 1 else -1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, counting)
+        before = _live_records()
+        results = execute_cells(cells, jobs=jobs)
+        assert len(seen) == tasks and len(results) == len(cells)
+        assert seen[-1] - before <= one_task
+
+    def test_serial_sweep_holds_one_task(self, cells, monkeypatch):
+        self._check(cells, 1, monkeypatch, parallel, "run_cell")
+
+    def test_pooled_sweep_holds_one_task(self, cells, monkeypatch):
+        self._check(cells, 2, monkeypatch, parallel._SweepRunner, "_await")

@@ -1,17 +1,22 @@
 """Multi-seed runner and sweeps."""
 
-from repro.experiments.runner import compare_policies, run_policy, sweep
+from repro.experiments.parallel import cells_for_sweep, execute_cells
+from repro.experiments.runner import compare_policies, point_results, sweep
+from repro.metrics.summary import RunStats
 
 
 SEEDS = (1, 2)
 
 
-class TestRunPolicy:
-    def test_one_result_per_seed(self, mm_config):
-        results = run_policy(mm_config, "EDF-HP", SEEDS)
-        assert len(results) == 2
-        assert all(r.policy_name == "EDF-HP" for r in results)
-        assert all(r.n_committed == mm_config.n_transactions for r in results)
+class TestPointResults:
+    def test_one_run_per_seed(self, mm_config):
+        cells = cells_for_sweep({0.0: mm_config}, SEEDS, ("EDF-HP",))
+        points = point_results(cells, execute_cells(cells))
+        runs = points[(0.0, "EDF-HP")]
+        assert len(runs) == 2
+        assert all(isinstance(r, RunStats) for r in runs)
+        assert all(r.policy_name == "EDF-HP" for r in runs)
+        assert all(r.n_committed == mm_config.n_transactions for r in runs)
 
 
 class TestComparePolicies:

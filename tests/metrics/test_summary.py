@@ -1,9 +1,16 @@
 """Summary statistics."""
 
+import dataclasses
+
 import pytest
 
+from repro.config import SimulationConfig
 from repro.core.simulator import SimulationResult, TransactionRecord
-from repro.metrics.summary import Statistic, summarize
+from repro.experiments.config import ExperimentScale
+from repro.experiments.extensions import occ_cells
+from repro.experiments.parallel import cell_engine, execute_cells, simulate_cell
+from repro.metrics.summary import RunStats, Statistic, summarize
+from repro.rtdb.transaction import Operation, TransactionSpec
 
 
 def record(tid, commit, deadline, restarts=0):
@@ -94,3 +101,71 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+
+#: (config.engine, cell label): the kernel, the reference engine, OCC
+#: and the multiprocessor engine.
+ENGINES = [
+    ("kernel", "EDF-HP"),
+    ("kernel", "CCA"),
+    ("reference", "EDF-HP"),
+    ("reference", "CCA"),
+    ("auto", "OCC"),
+    ("auto", "CCAx2"),
+]
+
+
+class TestRunStats:
+    """``RunStats`` is what the sweep executor keeps of a result; every
+    summary built from it must equal the one built from the results."""
+
+    @staticmethod
+    def assert_same_summary(results):
+        stats = [RunStats.of(r) for r in results]
+        assert summarize(stats) == summarize(results)
+        for run, stat in zip(results, stats):
+            for field in dataclasses.fields(RunStats):
+                assert getattr(stat, field.name) == getattr(run, field.name)
+
+    @pytest.mark.parametrize("engine,label", ENGINES)
+    def test_soft_runs(self, mm_config, engine, label):
+        config = mm_config.replace(engine=engine)
+        self.assert_same_summary([simulate_cell(config, s, label) for s in (1, 2, 3)])
+
+    @pytest.mark.parametrize("engine,label", ENGINES[:-1])
+    def test_firm_runs_with_drops(self, mm_config, engine, label):
+        config = mm_config.replace(
+            engine=engine, firm_deadlines=True, arrival_rate=12.0, max_slack=1.0
+        )
+        results = [simulate_cell(config, s, label) for s in (1, 2, 3)]
+        assert all(r.n_dropped > 0 for r in results)
+        self.assert_same_summary(results)
+
+    @pytest.mark.parametrize("engine,label", ENGINES[:-1])
+    def test_run_with_zero_commits(self, engine, label):
+        """Two firm transactions whose deadlines fall before their work
+        can finish: both are dropped, so every ratio divides by zero
+        commits."""
+        config = SimulationConfig(firm_deadlines=True, db_size=10, engine=engine)
+        workload = [
+            TransactionSpec(
+                tid=tid, type_id=0, arrival_time=0.0, deadline=1.0,
+                criticalness=0,
+                operations=(Operation(item=tid, compute_time=4.0, io_time=0.0),),
+            )
+            for tid in (0, 1)
+        ]
+        result = cell_engine(label).build(config, workload, label).run()
+        assert (result.n_committed, result.n_dropped) == (0, 2)
+        self.assert_same_summary([result])
+
+    def test_ext_occ_miss_or_drop_percent(self):
+        """ext-occ averages ``miss_or_drop_percent``, which the executor
+        hands back as ``RunStats``."""
+        cells = occ_cells(ExperimentScale("tiny", 2, 2, 0.05))
+        stats = execute_cells(cells, jobs=1)
+        assert any(stat.n_dropped > 0 for stat in stats.values())
+        for cell in cells:
+            result = simulate_cell(cell.config, cell.seed, cell.policy)
+            assert stats[cell.key] == RunStats.of(result)
+            assert stats[cell.key].miss_or_drop_percent == result.miss_or_drop_percent
